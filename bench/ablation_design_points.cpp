@@ -50,7 +50,7 @@ int
 main(int argc, char **argv)
 {
     BenchObs obs;
-    SampleParams sp = parseSampleArgs(argc, argv, {}, &obs);
+    SampleParams sp = parseBenchArgs(argc, argv, {}, &obs).params;
     sp.measureInsts = std::min<std::uint64_t>(sp.measureInsts, 50'000);
     ScopedTimer ablation_timer(obs.timings, "ablations");
 

@@ -7,13 +7,15 @@
 #define NDASIM_BENCH_BENCH_COMMON_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "ckpt/checkpoint_store.hh"
 #include "common/log.hh"
@@ -21,6 +23,7 @@
 #include "core/core_factory.hh"
 #include "core/ooo_core.hh"
 #include "debug/pipe_trace.hh"
+#include "harness/grid_spec.hh"
 #include "harness/runner.hh"
 #include "obs/cpi_stack.hh"
 #include "obs/run_manifest.hh"
@@ -28,41 +31,15 @@
 
 namespace nda {
 
-/** Print the shared usage text plus any binary-specific flags. */
+/** Print the shared usage text: the grid flags `cli_flags` enables,
+ *  the observability flags, and the binary-specific `extra_flags`. */
 inline void
 printSampleUsage(const char *prog,
-                 std::initializer_list<const char *> extra_flags)
+                 std::initializer_list<const char *> extra_flags,
+                 unsigned cli_flags = 0)
 {
     std::fprintf(stderr,
-                 "usage: %s [options]\n"
-                 "  --quick        1 sample, 10k warmup, 30k measured\n"
-                 "  --samples=N    independently-seeded samples per "
-                 "cell\n"
-                 "  --insts=N      measured instructions per window\n"
-                 "  --measure=N    alias for --insts=N\n"
-                 "  --warmup=N     detailed warm-up instructions per "
-                 "window\n"
-                 "  --fastforward=N\n"
-                 "                 functional fast-forward (with cache/"
-                 "predictor warming)\n"
-                 "                 before each window (default: 0)\n"
-                 "  --no-reuse     rebuild the fast-forward checkpoint "
-                 "for every window\n"
-                 "                 instead of sharing one per "
-                 "(workload, sample)\n"
-                 "  --chain        chained sampling: --fastforward "
-                 "becomes a stride and\n"
-                 "                 sample s measures offset (s+1) x "
-                 "stride of ONE run\n"
-                 "  --seed=N       base RNG seed (sample s uses "
-                 "seed+s)\n"
-                 "  --jobs=N       concurrent simulation windows "
-                 "(default: hardware threads; results are identical "
-                 "for any N)\n"
-                 "  --cpi-stack    attach the causal CPI-stack "
-                 "profiler to every measured\n"
-                 "                 window (per-cause slot attribution "
-                 "+ per-PC hotspots)\n"
+                 "usage: %s [options]\n%s"
                  "  --stats-out=F  write a JSON run manifest (config, "
                  "phase timings,\n"
                  "                 full stats dump of one instrumented "
@@ -74,7 +51,7 @@ printSampleUsage(const char *prog,
                  "Perfetto-loadable)\n"
                  "  --quiet        warnings and results only\n"
                  "  -v             verbose (debug-level) logging\n",
-                 prog);
+                 prog, gridUsage(cli_flags).c_str());
     for (const char *f : extra_flags)
         std::fprintf(stderr, "  %s\n", f);
 }
@@ -110,13 +87,22 @@ struct BenchObs {
                              prog, arg.c_str());
                 std::exit(2);
             }
-        } else if (arg == "--quiet" || arg == "-q") {
-            logVerbosity = 0;
-        } else if (arg == "-v" || arg == "--verbose") {
-            logVerbosity = 2;
         } else {
-            return false;
+            return parseVerbosity(arg);
         }
+        return true;
+    }
+
+    /** Consume --quiet/-q or -v/--verbose; false for anything else. */
+    static bool
+    parseVerbosity(const std::string &arg)
+    {
+        if (arg == "--quiet" || arg == "-q")
+            logVerbosity = 0;
+        else if (arg == "-v" || arg == "--verbose")
+            logVerbosity = 2;
+        else
+            return false;
         return true;
     }
 };
@@ -166,21 +152,16 @@ struct BenchCkpt {
                 std::exit(2);
             }
         } else if (arg.rfind("--ckpt-max-bytes=", 0) == 0) {
-            const std::string value = arg.substr(17);
-            std::size_t consumed = 0;
-            unsigned long long n = 0;
-            try {
-                n = std::stoull(value, &consumed);
-            } catch (const std::exception &) {
-            }
-            if (value.empty() || consumed != value.size()) {
+            const std::optional<std::uint64_t> n =
+                parseUnsigned(arg.substr(17));
+            if (!n) {
                 std::fprintf(stderr,
                              "%s: invalid value in '%s' (expected a "
                              "number of bytes)\n",
                              prog, arg.c_str());
                 std::exit(2);
             }
-            maxBytes = n;
+            maxBytes = *n;
         } else if (arg == "--no-ckpt") {
             disabled = true;
         } else {
@@ -191,187 +172,77 @@ struct BenchCkpt {
 };
 
 /**
- * Strict numeric parse for a binary-specific value flag, with the
- * same contract as the shared flags: malformed or empty values print
- * the usage text and exit 2 instead of throwing.
+ * Parse a bench command line in one pass (gridSpecFromArgs), offering
+ * each token to `own`, `obs` and `ckpt` before the grid flags. A bad
+ * or unknown argument prints the usage text and exits 2 — a misspelled
+ * flag silently falling back to defaults has burned enough measurement
+ * time already. --help exits 0.
  */
-inline unsigned long long
-parseFlagNumber(const char *prog, const std::string &arg,
-                std::size_t prefix_len,
-                std::initializer_list<const char *> extra = {})
+inline GridSpec
+parseBenchArgs(int argc, char **argv,
+               std::initializer_list<const char *> usage,
+               BenchObs *obs, BenchCkpt *ckpt = nullptr,
+               unsigned cli_flags = 0, const ArgHandler &own = nullptr)
 {
-    const std::string value = arg.substr(prefix_len);
-    std::size_t consumed = 0;
-    unsigned long long n = 0;
-    try {
-        n = std::stoull(value, &consumed);
-    } catch (const std::exception &) {
-    }
-    if (value.empty() || consumed != value.size()) {
-        std::fprintf(stderr,
-                     "%s: invalid value in '%s' (expected a number)\n",
-                     prog, arg.c_str());
-        printSampleUsage(prog, extra);
-        std::exit(2);
-    }
-    return n;
-}
-
-/**
- * SMT co-residency knobs shared by the grid and attack benches:
- * --smt=N sets the hardware-thread count on every simulated core
- * (--smt=1 is an explicit single-thread run, bit-identical to the
- * default configs), --smt-policy=rr|icount picks the fetch
- * arbitration between the contexts.
- */
-struct BenchSmt {
-    unsigned threads = 0; ///< 0 = leave the configs untouched
-    SmtFetchPolicy policy = SmtFetchPolicy::kRoundRobin;
-    bool policySet = false;
-
-    static constexpr const char *kUsageSmt =
-        "--smt=N        hardware threads per core (1 = explicit "
-        "single-thread)";
-    static constexpr const char *kUsagePolicy =
-        "--smt-policy=P SMT fetch arbitration: rr (default) or icount";
-
-    /** Apply the parsed knobs to one grid config (no-op when unset). */
-    void
-    apply(SimConfig &cfg) const
-    {
-        if (threads)
-            cfg.core.smtThreads = threads;
-        if (policySet)
-            cfg.core.smtFetchPolicy = policy;
-    }
-
-    /** Consume one argv token; false if it is not an SMT flag. */
-    bool
-    parseArg(const std::string &arg, const char *prog)
-    {
-        if (arg.rfind("--smt=", 0) == 0) {
-            threads =
-                static_cast<unsigned>(parseFlagNumber(prog, arg, 6));
-            if (threads == 0) {
-                std::fprintf(stderr,
-                             "%s: --smt= needs at least one thread\n",
-                             prog);
-                std::exit(2);
-            }
-        } else if (arg.rfind("--smt-policy=", 0) == 0) {
-            const std::string value = arg.substr(13);
-            if (value == "rr") {
-                policy = SmtFetchPolicy::kRoundRobin;
-            } else if (value == "icount") {
-                policy = SmtFetchPolicy::kIcount;
-            } else {
-                std::fprintf(stderr,
-                             "%s: unknown SMT fetch policy '%s' "
-                             "(expected rr or icount)\n",
-                             prog, value.c_str());
-                std::exit(2);
-            }
-            policySet = true;
-        } else {
-            return false;
-        }
-        return true;
-    }
-};
-
-/**
- * Parse the shared sampling flags from argv. Unrecognized arguments
- * abort with a usage message: a misspelled flag silently falling back
- * to defaults has burned enough measurement time already.
- *
- * Binary-specific options are declared via `extra`: entries ending in
- * '=' are matched as prefixes (value flags), others exactly; matches
- * are left for the caller to handle.
- */
-inline SampleParams
-parseSampleArgs(int argc, char **argv,
-                std::initializer_list<const char *> extra = {},
-                BenchObs *obs = nullptr, BenchCkpt *ckpt = nullptr,
-                BenchSmt *smt = nullptr)
-{
-    SampleParams p;
-    p.jobs = ThreadPool::defaultConcurrency();
     // Benches narrate via NDA_INFORM by default; --quiet/-v adjust.
     logVerbosity = std::max(logVerbosity, 1);
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (obs && obs->parseArg(arg, argv[0]))
-            continue;
-        if (ckpt && ckpt->parseArg(arg, argv[0]))
-            continue;
-        if (smt && smt->parseArg(arg, argv[0]))
-            continue;
-        const auto accepted = [&arg](const char *flag) {
-            const std::size_t len = std::strlen(flag);
-            return len > 0 && flag[len - 1] == '='
-                       ? arg.rfind(flag, 0) == 0
-                       : arg == flag;
-        };
-        // Numeric flag value, or usage + exit(2) on malformed input.
-        const auto number = [&](std::size_t prefix_len) {
-            const std::string value = arg.substr(prefix_len);
-            std::size_t consumed = 0;
-            unsigned long long n = 0;
-            try {
-                n = std::stoull(value, &consumed);
-            } catch (const std::exception &) {
+    GridSpec spec;
+    const std::string error = gridSpecFromArgs(
+        std::vector<std::string>(argv + 1, argv + argc), spec, cli_flags,
+        [&](const std::string &arg, std::string &err) {
+            if (arg == "--help" || arg == "-h") {
+                printSampleUsage(argv[0], usage, cli_flags);
+                std::exit(0);
             }
-            if (value.empty() || consumed != value.size()) {
-                std::fprintf(stderr,
-                             "%s: invalid value in '%s' (expected a "
-                             "number)\n",
-                             argv[0], arg.c_str());
-                printSampleUsage(argv[0], extra);
-                std::exit(2);
-            }
-            return n;
-        };
-        if (arg == "--quick") {
-            p.samples = 1;
-            p.warmupInsts = 10'000;
-            p.measureInsts = 30'000;
-        } else if (arg.rfind("--samples=", 0) == 0) {
-            p.samples = static_cast<unsigned>(number(10));
-        } else if (arg.rfind("--insts=", 0) == 0) {
-            p.measureInsts = number(8);
-        } else if (arg.rfind("--measure=", 0) == 0) {
-            p.measureInsts = number(10);
-        } else if (arg.rfind("--warmup=", 0) == 0) {
-            p.warmupInsts = number(9);
-        } else if (arg.rfind("--fastforward=", 0) == 0) {
-            p.fastforwardInsts = number(14);
-        } else if (arg == "--no-reuse") {
-            p.reuseCheckpoints = false;
-        } else if (arg == "--chain") {
-            p.chainSamples = true;
-        } else if (arg == "--cpi-stack") {
-            p.cpiStack = true;
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            p.baseSeed = number(7);
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            p.jobs = static_cast<unsigned>(number(7));
-            if (p.jobs == 0)
-                p.jobs = ThreadPool::defaultConcurrency();
-        } else if (arg == "--help" || arg == "-h") {
-            printSampleUsage(argv[0], extra);
-            std::exit(0);
-        } else if (std::none_of(extra.begin(), extra.end(),
-                                accepted)) {
-            std::fprintf(stderr, "%s: unrecognized argument '%s'\n",
-                         argv[0], arg.c_str());
-            printSampleUsage(argv[0], extra);
-            std::exit(2);
-        }
+            return (own && own(arg, err)) ||
+                   (obs && obs->parseArg(arg, argv[0])) ||
+                   (ckpt && ckpt->parseArg(arg, argv[0]));
+        });
+    if (!error.empty()) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+        printSampleUsage(argv[0], usage, cli_flags);
+        std::exit(2);
     }
-    // Reject degenerate parameter sets (e.g. --insts=0) up front,
-    // before any measurement time is spent.
-    p.validate();
-    return p;
+    return spec;
+}
+
+/** A grid column's commit slots pooled over every workload: cause
+ *  c contributes slots_c / (width x insts) cycles per instruction, so
+ *  the contributions sum exactly to the pooled CPI. */
+struct PooledCpiStack {
+    std::array<double, kNumStallCauses> contrib{};
+    double cpi = 0.0; ///< pooled cycles / pooled instructions
+};
+
+/** One PooledCpiStack per config of a row-major `grid` of `ncfg`
+ *  columns run with SampleParams::cpiStack. */
+inline std::vector<PooledCpiStack>
+pooledCpiStacks(const std::vector<RunResult> &grid, std::size_t ncfg)
+{
+    std::vector<PooledCpiStack> out(ncfg);
+    for (std::size_t ci = 0; ci < ncfg; ++ci) {
+        std::array<std::uint64_t, kNumStallCauses> slots{};
+        std::uint64_t insts = 0;
+        std::uint64_t cycles = 0;
+        unsigned width = 0;
+        for (std::size_t cell = ci; cell < grid.size(); cell += ncfg) {
+            const RunResult &r = grid[cell];
+            for (int c = 0; c < kNumStallCauses; ++c)
+                slots[c] += r.mean.slotStack[c];
+            insts += r.mean.instructions;
+            cycles += r.mean.cycles;
+            width = r.mean.slotWidth;
+        }
+        const double den =
+            static_cast<double>(width) * static_cast<double>(insts);
+        for (int c = 0; c < kNumStallCauses; ++c)
+            out[ci].contrib[c] =
+                den ? static_cast<double>(slots[c]) / den : 0.0;
+        out[ci].cpi = insts ? static_cast<double>(cycles) /
+                                  static_cast<double>(insts)
+                            : 0.0;
+    }
+    return out;
 }
 
 /** `\r`-style progress meter for grid sweeps (stderr; silenced by
@@ -384,6 +255,36 @@ gridProgress(std::size_t done, std::size_t total)
     std::fprintf(stderr, "\r  %zu/%zu windows", done, total);
     if (done == total)
         std::fprintf(stderr, "\n");
+}
+
+/**
+ * Run a bench's grid: `spec` over `workloads` on the corpus `ckpt`
+ * opens (if any; its traffic is reported), with the progress meter,
+ * timed as obs's "grid" phase.
+ */
+inline std::vector<RunResult>
+runBenchGrid(const GridSpec &spec,
+             const std::vector<std::unique_ptr<Workload>> &workloads,
+             BenchObs &obs, const BenchCkpt *ckpt = nullptr,
+             GridStats *stats = nullptr)
+{
+    const std::unique_ptr<CheckpointStore> corpus =
+        ckpt ? ckpt->open() : nullptr;
+    ScopedTimer timer(obs.timings, "grid");
+    std::vector<RunResult> grid =
+        runGrid(workloads, spec.configs(), spec.params, gridProgress,
+                stats, corpus.get());
+    timer.stop();
+    if (corpus) {
+        NDA_INFORM("checkpoint corpus '%s': %llu hits, %llu misses, "
+                   "%llu entries on disk",
+                   corpus->dir().c_str(),
+                   static_cast<unsigned long long>(corpus->stats().hits),
+                   static_cast<unsigned long long>(
+                       corpus->stats().misses),
+                   static_cast<unsigned long long>(corpus->entryCount()));
+    }
+    return grid;
 }
 
 /** Write `content` to `path`; NDA_WARNs instead of aborting, so a

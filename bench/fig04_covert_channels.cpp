@@ -46,7 +46,7 @@ int
 main(int argc, char **argv)
 {
     BenchObs obs;
-    const SampleParams sp = parseSampleArgs(argc, argv, {}, &obs);
+    const SampleParams sp = parseBenchArgs(argc, argv, {}, &obs).params;
     printBanner("Figure 4: Spectre v1 guess timing, cache vs BTB "
                 "covert channel (insecure OoO)");
     std::printf(

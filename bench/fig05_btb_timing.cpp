@@ -72,7 +72,7 @@ int
 main(int argc, char **argv)
 {
     BenchObs obs;
-    const SampleParams sp = parseSampleArgs(argc, argv, {}, &obs);
+    const SampleParams sp = parseBenchArgs(argc, argv, {}, &obs).params;
     printBanner("Figure 5: BTB misprediction recovery overhead");
     std::printf("Paper reference: ~16 cycles for the BTB miss to "
                 "resolve,\nwrong-path to squash, and fetch to resume "

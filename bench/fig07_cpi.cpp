@@ -14,7 +14,6 @@
  * flamegraph-ready collapsed-stack file (--stack-out=).
  */
 
-#include <array>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -32,71 +31,43 @@ main(int argc, char **argv)
 {
     BenchObs obs;
     BenchCkpt ckpt;
-    BenchSmt smt;
-    SampleParams sp = parseSampleArgs(
-        argc, argv,
-        {"--csv=", "--mshr=", "--stack-csv=", "--stack-out=",
-         BenchSmt::kUsageSmt, BenchSmt::kUsagePolicy,
-         BenchCkpt::kUsageDir, BenchCkpt::kUsageMaxBytes,
-         BenchCkpt::kUsageNoCkpt},
-        &obs, &ckpt, &smt);
     std::string csv_path;
     std::string stack_csv_path;
     std::string stack_out_path;
-    unsigned mshr_entries = 0;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--csv=", 0) == 0)
-            csv_path = arg.substr(6);
-        else if (arg.rfind("--stack-csv=", 0) == 0)
-            stack_csv_path = arg.substr(12);
-        else if (arg.rfind("--stack-out=", 0) == 0)
-            stack_out_path = arg.substr(12);
-        else if (arg.rfind("--mshr=", 0) == 0)
-            mshr_entries = static_cast<unsigned>(
-                parseFlagNumber(argv[0], arg, 7));
-    }
+    GridSpec spec = parseBenchArgs(
+        argc, argv,
+        {"--csv=", "--stack-csv=", "--stack-out=", BenchCkpt::kUsageDir,
+         BenchCkpt::kUsageMaxBytes, BenchCkpt::kUsageNoCkpt},
+        &obs, &ckpt, kCliMshr | kCliSmt,
+        [&](const std::string &arg, std::string &) {
+            if (arg.rfind("--csv=", 0) == 0)
+                csv_path = arg.substr(6);
+            else if (arg.rfind("--stack-csv=", 0) == 0)
+                stack_csv_path = arg.substr(12);
+            else if (arg.rfind("--stack-out=", 0) == 0)
+                stack_out_path = arg.substr(12);
+            else
+                return false;
+            return true;
+        });
+    SampleParams &sp = spec.params;
     // The stack exports are meaningless without the profiler; asking
     // for one opts the grid in rather than silently emitting zeros.
-    if ((!stack_csv_path.empty() || !stack_out_path.empty()) &&
-        !sp.cpiStack) {
+    if (!stack_csv_path.empty() || !stack_out_path.empty())
         sp.cpiStack = true;
-    }
     printBanner("Figure 7: normalized CPI, all profiles x all "
                 "workloads (95% CI over " +
                 std::to_string(sp.samples) + " samples, " +
                 std::to_string(sp.jobs) + " jobs)");
 
-    const auto workloads = makeAllWorkloads();
-    const auto profiles = allProfiles();
+    const auto workloads = spec.makeWorkloads();
+    const std::vector<Profile> &profiles = spec.profiles;
 
     // The whole figure is one grid of independent windows — run them
     // all concurrently, then format from the reduced cells.
-    std::vector<SimConfig> configs;
-    for (Profile p : profiles) {
-        SimConfig cfg = makeProfile(p);
-        cfg.memory.mshrEntries = mshr_entries;
-        smt.apply(cfg);
-        configs.push_back(cfg);
-    }
-    const std::unique_ptr<CheckpointStore> corpus = ckpt.open();
     GridStats grid_stats;
-    ScopedTimer grid_timer(obs.timings, "grid");
-    const std::vector<RunResult> grid = runGrid(
-        workloads, configs, sp, gridProgress, &grid_stats,
-        corpus.get());
-    grid_timer.stop();
-    if (corpus) {
-        NDA_INFORM("checkpoint corpus '%s': %llu hits, %llu misses, "
-                   "%llu entries on disk",
-                   corpus->dir().c_str(),
-                   static_cast<unsigned long long>(
-                       corpus->stats().hits),
-                   static_cast<unsigned long long>(
-                       corpus->stats().misses),
-                   static_cast<unsigned long long>(
-                       corpus->entryCount()));
-    }
+    const std::vector<RunResult> grid =
+        runBenchGrid(spec, workloads, obs, &ckpt, &grid_stats);
 
     std::vector<std::string> headers{"workload"};
     for (Profile p : profiles)
@@ -176,57 +147,10 @@ main(int argc, char **argv)
     // ---- CPI-stack attribution (--cpi-stack) -------------------------
     std::string stacks_json;
     if (sp.cpiStack) {
-        // Every cell must close the slot identity exactly — the
-        // aggregated mean keeps slotStack and cycles as sums over
-        // samples, so any residue is an attribution bug, not rounding.
-        for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
-            for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-                const RunResult &r = grid[wi * profiles.size() + pi];
-                std::uint64_t accounted = 0;
-                for (const std::uint64_t s : r.mean.slotStack)
-                    accounted += s;
-                const std::uint64_t total =
-                    static_cast<std::uint64_t>(r.mean.slotWidth) *
-                    r.mean.cycles;
-                NDA_ASSERT(accounted == total,
-                           "CPI-stack identity broken on %s x %s: "
-                           "%llu accounted != %llu slots",
-                           workloads[wi]->name().c_str(),
-                           profileName(profiles[pi]),
-                           static_cast<unsigned long long>(accounted),
-                           static_cast<unsigned long long>(total));
-            }
-        }
-
-        // Pooled attribution per profile: contribution of cause c is
-        // slots_c / (width x insts), so each column sums exactly to
-        // that profile's pooled CPI — the figure's bars, explained.
-        std::vector<std::array<double, kNumStallCauses>> contrib(
-            profiles.size());
-        std::vector<double> pooled_cpi(profiles.size(), 0.0);
-        for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-            std::array<std::uint64_t, kNumStallCauses> slots{};
-            std::uint64_t insts = 0;
-            std::uint64_t cycles = 0;
-            unsigned width = 0;
-            for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
-                const RunResult &r = grid[wi * profiles.size() + pi];
-                for (int c = 0; c < kNumStallCauses; ++c)
-                    slots[c] += r.mean.slotStack[c];
-                insts += r.mean.instructions;
-                cycles += r.mean.cycles;
-                width = r.mean.slotWidth;
-            }
-            const double den = static_cast<double>(width) *
-                               static_cast<double>(insts);
-            for (int c = 0; c < kNumStallCauses; ++c)
-                contrib[pi][c] =
-                    den ? static_cast<double>(slots[c]) / den : 0.0;
-            pooled_cpi[pi] =
-                insts ? static_cast<double>(cycles) /
-                            static_cast<double>(insts)
-                      : 0.0;
-        }
+        // Pooled attribution per profile: the figure's bars,
+        // explained.
+        const std::vector<PooledCpiStack> pooled =
+            pooledCpiStacks(grid, profiles.size());
         std::printf("\nCPI attribution (cycles/inst, workloads "
                     "pooled; columns sum to pooled CPI):\n");
         std::vector<std::string> shdr{"cause"};
@@ -236,92 +160,87 @@ main(int argc, char **argv)
         for (int c = 0; c < kNumStallCauses; ++c) {
             bool any = false;
             for (std::size_t pi = 0; pi < profiles.size(); ++pi)
-                any = any || contrib[pi][c] > 0.0;
+                any = any || pooled[pi].contrib[c] > 0.0;
             if (!any)
                 continue;
             std::vector<std::string> row{
                 stallCauseName(static_cast<StallCause>(c))};
             for (std::size_t pi = 0; pi < profiles.size(); ++pi)
-                row.push_back(TablePrinter::fmt(contrib[pi][c], 3));
+                row.push_back(
+                    TablePrinter::fmt(pooled[pi].contrib[c], 3));
             stack_table.addRow(row);
         }
         std::vector<std::string> cpi_row{"CPI (sum)"};
         for (std::size_t pi = 0; pi < profiles.size(); ++pi)
-            cpi_row.push_back(TablePrinter::fmt(pooled_cpi[pi], 3));
+            cpi_row.push_back(TablePrinter::fmt(pooled[pi].cpi, 3));
         stack_table.addRow(cpi_row);
         stack_table.print();
 
-        // Tidy per-(cell, cause) export for external pivoting; every
-        // cause is emitted (zeros included) so a consumer can re-check
-        // the slot identity from the file alone.
+        // Per-cell exports: a tidy per-(cell, cause) CSV for external
+        // pivoting (every cause, zeros included, so a consumer can
+        // re-check the slot identity from the file alone), collapsed
+        // hotspot stacks for flamegraph.pl/speedscope, and compact
+        // JSON stacks for the run manifest.
+        std::unique_ptr<CsvWriter> scsv;
         if (!stack_csv_path.empty()) {
-            CsvWriter scsv(stack_csv_path);
-            scsv.row({"workload", "profile", "width", "cycles",
-                      "insts", "cause", "slots", "slot_frac",
-                      "cpi_contrib"});
-            for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
-                for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-                    const RunResult &r =
-                        grid[wi * profiles.size() + pi];
-                    const double total =
-                        static_cast<double>(r.mean.slotWidth) *
-                        static_cast<double>(r.mean.cycles);
-                    const double den =
-                        static_cast<double>(r.mean.slotWidth) *
-                        static_cast<double>(r.mean.instructions);
-                    for (int c = 0; c < kNumStallCauses; ++c) {
-                        const double s = static_cast<double>(
-                            r.mean.slotStack[c]);
-                        scsv.row(
-                            {workloads[wi]->name(),
-                             profileName(profiles[pi]),
-                             std::to_string(r.mean.slotWidth),
-                             std::to_string(r.mean.cycles),
-                             std::to_string(r.mean.instructions),
-                             stallCauseName(
-                                 static_cast<StallCause>(c)),
-                             std::to_string(r.mean.slotStack[c]),
-                             CsvWriter::num(total ? s / total : 0.0,
-                                            6),
-                             CsvWriter::num(den ? s / den : 0.0,
-                                            6)});
-                    }
-                }
-            }
-            NDA_INFORM("wrote %s", stack_csv_path.c_str());
+            scsv = std::make_unique<CsvWriter>(stack_csv_path);
+            scsv->row({"workload", "profile", "width", "cycles", "insts",
+                       "cause", "slots", "slot_frac", "cpi_contrib"});
         }
-
-        // Collapsed-stack hotspots: one frame stack per
-        // (workload, profile, pc, cause) — flamegraph.pl/speedscope
-        // input.
-        if (!stack_out_path.empty()) {
-            std::string folded;
-            for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
-                for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-                    const RunResult &r =
-                        grid[wi * profiles.size() + pi];
-                    HotspotProfiler hp;
-                    for (const HotspotEntry &e : r.mean.hotspots)
-                        hp.mergeEntry(e);
-                    folded += hp.renderCollapsed(
-                        workloads[wi]->name() + ";" +
-                        profileName(profiles[pi]));
-                }
-            }
-            writeBenchFile(stack_out_path, folded);
-        }
-
-        // Per-cell stacks for the run manifest (compact JSON).
+        std::string folded;
         JsonWriter jw(false);
         jw.beginArray();
         for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
             for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
                 const RunResult &r = grid[wi * profiles.size() + pi];
+                const std::string &wname = workloads[wi]->name();
+                const char *pname = profileName(profiles[pi]);
+                // Every cell must close the slot identity exactly — the
+                // aggregated mean keeps slotStack and cycles as sums
+                // over samples, so any residue is an attribution bug,
+                // not rounding.
+                std::uint64_t accounted = 0;
+                for (const std::uint64_t slots : r.mean.slotStack)
+                    accounted += slots;
+                const std::uint64_t total =
+                    static_cast<std::uint64_t>(r.mean.slotWidth) *
+                    r.mean.cycles;
+                NDA_ASSERT(accounted == total,
+                           "CPI-stack identity broken on %s x %s: "
+                           "%llu accounted != %llu slots",
+                           wname.c_str(), pname,
+                           static_cast<unsigned long long>(accounted),
+                           static_cast<unsigned long long>(total));
+
+                const double den =
+                    static_cast<double>(r.mean.slotWidth) *
+                    static_cast<double>(r.mean.instructions);
+                for (int c = 0; scsv && c < kNumStallCauses; ++c) {
+                    const double slots =
+                        static_cast<double>(r.mean.slotStack[c]);
+                    scsv->row(
+                        {wname, pname, std::to_string(r.mean.slotWidth),
+                         std::to_string(r.mean.cycles),
+                         std::to_string(r.mean.instructions),
+                         stallCauseName(static_cast<StallCause>(c)),
+                         std::to_string(r.mean.slotStack[c]),
+                         CsvWriter::num(
+                             total ? slots / static_cast<double>(total)
+                                   : 0.0,
+                             6),
+                         CsvWriter::num(den ? slots / den : 0.0, 6)});
+                }
+
+                HotspotProfiler hp;
+                for (const HotspotEntry &e : r.mean.hotspots)
+                    hp.mergeEntry(e);
+                folded += hp.renderCollapsed(wname + ";" + pname);
+
                 jw.beginObject();
                 jw.key("workload");
-                jw.value(workloads[wi]->name());
+                jw.value(wname);
                 jw.key("profile");
-                jw.value(profileName(profiles[pi]));
+                jw.value(pname);
                 jw.key("width");
                 jw.value(r.mean.slotWidth);
                 jw.key("cycles");
@@ -343,12 +262,16 @@ main(int argc, char **argv)
         }
         jw.endArray();
         stacks_json = jw.str();
+        if (scsv)
+            NDA_INFORM("wrote %s", stack_csv_path.c_str());
+        if (!stack_out_path.empty())
+            writeBenchFile(stack_out_path, folded);
     }
 
     emitBenchObs(obs, "fig07_cpi", Profile::kStrict, sp,
                  [&](RunManifest &m, StatsRegistry &reg) {
-                     m.set("mshr_entries",
-                           static_cast<std::uint64_t>(mshr_entries));
+                     m.set("mshr_entries", static_cast<std::uint64_t>(
+                                               spec.mshrEntries));
                      m.set("geomean_strict", geo[Profile::kStrict]);
                      m.set("geomean_in_order", in_order);
                      m.set("geomean_full_protection", full);

@@ -23,10 +23,10 @@ int
 main(int argc, char **argv)
 {
     BenchObs obs;
-    BenchSmt smt;
-    const SampleParams sp = parseSampleArgs(
-        argc, argv, {BenchSmt::kUsageSmt}, &obs, nullptr, &smt);
-    const bool co_resident = smt.threads >= 2;
+    const GridSpec spec =
+        parseBenchArgs(argc, argv, {}, &obs, nullptr, kCliSmt);
+    const SampleParams &sp = spec.params;
+    const bool co_resident = spec.smtThreads >= 2;
     printBanner("Figure 8: Spectre v1 under NDA permissive propagation "
                 "(cache and BTB channels)");
     std::printf("Paper reference: the Fig 4 cycle differences are "

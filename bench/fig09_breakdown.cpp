@@ -33,21 +33,15 @@ int
 main(int argc, char **argv)
 {
     BenchObs obs;
-    const SampleParams sp = parseSampleArgs(argc, argv, {}, &obs);
-    const auto workloads = makeAllWorkloads();
-    const auto profiles = ndaProfiles();
-
+    GridSpec spec = parseBenchArgs(argc, argv, {}, &obs);
     // Fig 9 uses one window per (workload, profile) cell at the base
-    // seed; the whole grid runs concurrently on sp.jobs lanes.
-    SampleParams one = sp;
-    one.samples = 1;
-    std::vector<SimConfig> configs;
-    for (Profile p : profiles)
-        configs.push_back(makeProfile(p));
-    ScopedTimer grid_timer(obs.timings, "grid");
-    const std::vector<RunResult> grid =
-        runGrid(workloads, configs, one, gridProgress);
-    grid_timer.stop();
+    // seed; the whole grid runs concurrently on the spec's jobs lanes.
+    spec.params.samples = 1;
+    spec.profiles = ndaProfiles();
+    const SampleParams &one = spec.params;
+    const std::vector<Profile> &profiles = spec.profiles;
+    const auto workloads = spec.makeWorkloads();
+    const std::vector<RunResult> grid = runBenchGrid(spec, workloads, obs);
 
     std::vector<ProfileAgg> agg(profiles.size());
     for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
@@ -142,6 +136,6 @@ main(int argc, char **argv)
     std::printf("Paper: a one-cycle delay changes CPI by less than "
                 "3.6%%.\n");
 
-    emitBenchObs(obs, "fig09_breakdown", Profile::kStrict, sp);
+    emitBenchObs(obs, "fig09_breakdown", Profile::kStrict, one);
     return 0;
 }

@@ -16,7 +16,7 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -30,6 +30,8 @@
 namespace {
 
 using namespace nda;
+
+constexpr std::uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
 
 void
 printUsage(const char *prog)
@@ -83,36 +85,16 @@ usageError(const char *prog, const std::string &msg)
 
 std::uint64_t
 parseNumber(const char *prog, const std::string &arg,
-            std::size_t prefix_len)
+            std::size_t prefix_len,
+            std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    const std::string value = arg.substr(prefix_len);
-    std::size_t consumed = 0;
-    unsigned long long n = 0;
-    try {
-        n = std::stoull(value, &consumed);
-    } catch (const std::exception &) {
-    }
-    if (value.empty() || consumed != value.size())
+    const std::optional<std::uint64_t> n =
+        parseUnsigned(arg.substr(prefix_len), max);
+    if (!n)
         usageError(prog, "invalid value in '" + arg +
-                             "' (expected a number)");
-    return n;
-}
-
-Profile
-parseProfile(const char *prog, const std::string &name)
-{
-    for (Profile p : allProfiles()) {
-        if (name == profileName(p))
-            return p;
-    }
-    std::string names;
-    for (Profile p : allProfiles()) {
-        if (!names.empty())
-            names += ", ";
-        names += std::string("'") + profileName(p) + "'";
-    }
-    usageError(prog, "unknown profile '" + name + "' (expected one of " +
-                         names + ")");
+                             "' (expected a number no larger than " +
+                             std::to_string(max) + ")");
+    return *n;
 }
 
 /** "still fails the same way" for campaign failures: the shrunk
@@ -244,16 +226,18 @@ main(int argc, char **argv)
         } else if (arg.rfind("--seed0=", 0) == 0) {
             params.seed0 = parseNumber(argv[0], arg, 8);
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            params.jobs =
-                static_cast<unsigned>(parseNumber(argv[0], arg, 7));
+            params.jobs = static_cast<unsigned>(
+                parseNumber(argv[0], arg, 7, kUnsignedMax));
             if (params.jobs == 0)
                 params.jobs = ThreadPool::defaultConcurrency();
         } else if (arg.rfind("--profile=", 0) == 0) {
-            params.profiles.push_back(
-                parseProfile(argv[0], arg.substr(10)));
+            Profile profile;
+            if (!profileByName(arg.substr(10), profile))
+                usageError(argv[0], "unknown profile in '" + arg + "'");
+            params.profiles.push_back(profile);
         } else if (arg.rfind("--mshr=", 0) == 0) {
-            params.mshrEntries =
-                static_cast<unsigned>(parseNumber(argv[0], arg, 7));
+            params.mshrEntries = static_cast<unsigned>(
+                parseNumber(argv[0], arg, 7, kUnsignedMax));
         } else if (arg == "--no-dift") {
             params.compareTaint = false;
         } else if (arg == "--no-invariants") {

@@ -141,61 +141,25 @@ int
 main(int argc, char **argv)
 {
     std::string socket_path;
-    std::string ckpt_dir;
-    std::uint64_t ckpt_max_bytes = 0;
-    bool no_ckpt = false;
+    BenchCkpt ckpt;
     logVerbosity = std::max(logVerbosity, 1);
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto number = [&](std::size_t prefix_len) {
-            const std::string value = arg.substr(prefix_len);
-            std::size_t consumed = 0;
-            unsigned long long n = 0;
-            try {
-                n = std::stoull(value, &consumed);
-            } catch (const std::exception &) {
-            }
-            if (value.empty() || consumed != value.size()) {
-                std::fprintf(stderr,
-                             "%s: invalid value in '%s' (expected a "
-                             "number)\n",
-                             argv[0], arg.c_str());
-                printUsage(argv[0]);
-                std::exit(2);
-            }
-            return n;
-        };
+        std::string error;
         if (arg.rfind("--socket=", 0) == 0) {
             socket_path = arg.substr(9);
-            if (socket_path.empty()) {
-                std::fprintf(stderr, "%s: --socket= needs a path\n",
-                             argv[0]);
-                printUsage(argv[0]);
-                return 2;
-            }
-        } else if (arg.rfind("--ckpt-dir=", 0) == 0) {
-            ckpt_dir = arg.substr(11);
-            if (ckpt_dir.empty()) {
-                std::fprintf(stderr, "%s: --ckpt-dir= needs a path\n",
-                             argv[0]);
-                printUsage(argv[0]);
-                return 2;
-            }
-        } else if (arg.rfind("--ckpt-max-bytes=", 0) == 0) {
-            ckpt_max_bytes = number(17);
-        } else if (arg == "--no-ckpt") {
-            no_ckpt = true;
-        } else if (arg == "--quiet" || arg == "-q") {
-            logVerbosity = 0;
-        } else if (arg == "-v" || arg == "--verbose") {
-            logVerbosity = 2;
+            if (socket_path.empty())
+                error = "--socket= needs a path";
         } else if (arg == "--help" || arg == "-h") {
             printUsage(argv[0]);
             return 0;
-        } else {
-            std::fprintf(stderr, "%s: unrecognized argument '%s'\n",
-                         argv[0], arg.c_str());
+        } else if (!ckpt.parseArg(arg, argv[0]) &&
+                   !BenchObs::parseVerbosity(arg)) {
+            error = "unrecognized argument '" + arg + "'";
+        }
+        if (!error.empty()) {
+            std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
             printUsage(argv[0]);
             return 2;
         }
@@ -205,10 +169,7 @@ main(int argc, char **argv)
     // write loop already treats short writes as disconnect.
     std::signal(SIGPIPE, SIG_IGN);
 
-    std::unique_ptr<CheckpointStore> corpus;
-    if (!ckpt_dir.empty() && !no_ckpt)
-        corpus = std::make_unique<CheckpointStore>(ckpt_dir,
-                                                   ckpt_max_bytes);
+    const std::unique_ptr<CheckpointStore> corpus = ckpt.open();
     GridService service(corpus.get());
 
     if (!socket_path.empty())

@@ -104,49 +104,52 @@ main(int argc, char **argv)
 {
     BenchObs obs;
     BenchCkpt ckpt;
-    SampleParams sp = parseSampleArgs(
-        argc, argv,
-        {"--json=", "--stats-schema", "--engine=",
-         "--min-interp-mips=", BenchCkpt::kUsageDir,
-         BenchCkpt::kUsageMaxBytes, BenchCkpt::kUsageNoCkpt},
-        &obs, &ckpt);
     std::string json_path = "BENCH_throughput.json";
     std::string engine = "all";
     double min_interp_mips = 0.0;
     bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--json=", 0) == 0)
-            json_path = arg.substr(7);
-        if (arg.rfind("--engine=", 0) == 0)
-            engine = arg.substr(9);
-        if (arg.rfind("--min-interp-mips=", 0) == 0) {
-            char *end = nullptr;
-            min_interp_mips = std::strtod(arg.c_str() + 18, &end);
-            if (end == arg.c_str() + 18 || *end != '\0' ||
-                min_interp_mips < 0.0) {
-                std::fprintf(stderr, "%s: bad --min-interp-mips value "
-                             "'%s'\n", argv[0], arg.c_str() + 18);
-                return 2;
+    bool stats_schema = false;
+    GridSpec spec = parseBenchArgs(
+        argc, argv,
+        {"--json=", "--stats-schema", "--engine=", "--min-interp-mips=",
+         BenchCkpt::kUsageDir, BenchCkpt::kUsageMaxBytes,
+         BenchCkpt::kUsageNoCkpt},
+        &obs, &ckpt, 0, [&](const std::string &arg, std::string &error) {
+            if (arg == "--quick") {
+                // Also shrinks the interpreter and corpus runs below;
+                // left untaken so the grid flags apply it as well.
+                quick = true;
+                return false;
             }
-        }
-        if (arg == "--quick")
-            quick = true;
-        if (arg == "--stats-schema") {
-            // Print the canonical stat-name schema and exit; CI diffs
-            // this against tests/golden/stats_schema.txt.
-            for (const std::string &name : canonicalStatsSchema())
-                std::printf("%s\n", name.c_str());
-            return 0;
-        }
+            if (arg.rfind("--json=", 0) == 0) {
+                json_path = arg.substr(7);
+            } else if (arg.rfind("--engine=", 0) == 0) {
+                engine = arg.substr(9);
+                if (engine != "all" && engine != "interp")
+                    error = "unknown engine '" + engine +
+                            "' (expected all or interp)";
+            } else if (arg.rfind("--min-interp-mips=", 0) == 0) {
+                char *end = nullptr;
+                min_interp_mips = std::strtod(arg.c_str() + 18, &end);
+                if (end == arg.c_str() + 18 || *end != '\0' ||
+                    min_interp_mips < 0.0)
+                    error = "bad --min-interp-mips value '" +
+                            arg.substr(18) + "'";
+            } else if (arg == "--stats-schema") {
+                stats_schema = true;
+            } else {
+                return false;
+            }
+            return true;
+        });
+    if (stats_schema) {
+        // Print the canonical stat-name schema and exit; CI diffs
+        // this against tests/golden/stats_schema.txt.
+        for (const std::string &name : canonicalStatsSchema())
+            std::printf("%s\n", name.c_str());
+        return 0;
     }
-    if (engine != "all" && engine != "interp") {
-        std::fprintf(stderr,
-                     "%s: unknown engine '%s' (expected all or "
-                     "interp)\n",
-                     argv[0], engine.c_str());
-        return 2;
-    }
+    SampleParams &sp = spec.params;
     const bool run_cores = engine == "all";
     // One window per (workload, profile): this measures host-side
     // simulation speed, not simulated statistics, so samples add
@@ -159,11 +162,8 @@ main(int argc, char **argv)
     // A branch-heavy, a memory-bound, and an ILP-rich kernel: the mix
     // exercises every pipeline structure without running the full
     // 16-kernel suite.
-    const std::vector<std::string> names{"compute", "branchy",
-                                         "ptrchase", "mixed"};
-    std::vector<std::unique_ptr<Workload>> workloads;
-    for (const std::string &n : names)
-        workloads.push_back(makeWorkload(n));
+    spec.workloads = {"compute", "branchy", "ptrchase", "mixed"};
+    const auto workloads = spec.makeWorkloads();
 
     // Interpreter throughput: bare (checkpoint placement), with
     // functional warming attached (the grid fast-forward engine), and
@@ -201,8 +201,8 @@ main(int argc, char **argv)
     GridStats legacy_stats;
     GridStats reuse_stats;
     SampleParams ab = sp;
-    std::size_t ab_workload_count = 0;
-    std::vector<SimConfig> configs;
+    std::vector<std::unique_ptr<Workload>> ab_workloads;
+    const std::vector<SimConfig> configs = spec.configs();
     // Warm-corpus A/B (chained sampling, persistent CheckpointStore).
     SampleParams corpus_ab = sp;
     double nocorpus_seconds = 0.0;
@@ -215,12 +215,12 @@ main(int argc, char **argv)
     GridStats warm_stats;
 
     if (run_cores) {
-        const auto profiles = allProfiles();
         TablePrinter table({"profile", "sim insts", "host sec", "KIPS"});
         ScopedTimer serial_timer(obs.timings, "per-profile-serial");
-        for (Profile p : profiles) {
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            const Profile p = spec.profiles[i];
+            const SimConfig &cfg = configs[i];
             ProfileKips r{p};
-            const SimConfig cfg = makeProfile(p);
             const auto t0 = Clock::now();
             for (const auto &w : workloads) {
                 const WindowStats s = runWindow(*w, cfg, sp.baseSeed, sp);
@@ -238,8 +238,6 @@ main(int argc, char **argv)
         table.print();
 
         // Aggregate harness throughput: the same grid through the pool.
-        for (Profile p : profiles)
-            configs.push_back(makeProfile(p));
         const auto t0 = Clock::now();
         ScopedTimer grid_timer(obs.timings, "harness-grid");
         const std::vector<RunResult> grid =
@@ -266,10 +264,8 @@ main(int argc, char **argv)
         ab.measureInsts = 5'000;
         ab.samples = 2;
         ab.jobs = 2;
-        std::vector<std::unique_ptr<Workload>> ab_workloads;
         ab_workloads.push_back(makeWorkload("compute"));
         ab_workloads.push_back(makeWorkload("branchy"));
-        ab_workload_count = ab_workloads.size();
 
         SampleParams ab_legacy = ab;
         ab_legacy.reuseCheckpoints = false;
@@ -293,7 +289,7 @@ main(int argc, char **argv)
                     "  legacy  %llu fast-forwards, %.2fs\n"
                     "  reuse   %llu fast-forwards, %.2fs  (%.2fx, "
                     "ff %.1f MIPS)\n",
-                    ab_workload_count, configs.size(), ab.samples,
+                    ab_workloads.size(), configs.size(), ab.samples,
                     static_cast<unsigned long long>(
                         ab.fastforwardInsts / 1000),
                     static_cast<unsigned long long>(
@@ -315,9 +311,6 @@ main(int argc, char **argv)
         corpus_ab.warmupInsts = 500;
         corpus_ab.measureInsts = 1'000;
         corpus_ab.samples = 2;
-        std::vector<std::unique_ptr<Workload>> ab_workloads2;
-        ab_workloads2.push_back(makeWorkload("compute"));
-        ab_workloads2.push_back(makeWorkload("branchy"));
 
         const std::string corpus_dir =
             ckpt.wantCorpus() ? ckpt.dir : "nda_ckpt_ab_corpus";
@@ -328,7 +321,7 @@ main(int argc, char **argv)
         std::vector<RunResult> nocorpus_grid;
         {
             ScopedTimer t(obs.timings, "corpus-ab-nocorpus");
-            nocorpus_grid = runGrid(ab_workloads2, configs, corpus_ab,
+            nocorpus_grid = runGrid(ab_workloads, configs, corpus_ab,
                                     nullptr, &nocorpus_stats);
         }
         nocorpus_seconds = secondsSince(nocorpus_t0);
@@ -340,14 +333,14 @@ main(int argc, char **argv)
             const auto cold_t0 = Clock::now();
             {
                 ScopedTimer t(obs.timings, "corpus-ab-cold");
-                cold_grid = runGrid(ab_workloads2, configs, corpus_ab,
+                cold_grid = runGrid(ab_workloads, configs, corpus_ab,
                                     nullptr, &cold_stats, &corpus);
             }
             cold_seconds = secondsSince(cold_t0);
             const auto warm_t0 = Clock::now();
             {
                 ScopedTimer t(obs.timings, "corpus-ab-warm");
-                warm_grid = runGrid(ab_workloads2, configs, corpus_ab,
+                warm_grid = runGrid(ab_workloads, configs, corpus_ab,
                                     nullptr, &warm_stats, &corpus);
             }
             warm_seconds = secondsSince(warm_t0);
@@ -372,7 +365,7 @@ main(int argc, char **argv)
                     "  cold       %.2fs (%llu misses published)\n"
                     "  warm       %.2fs (%llu hits, %.2fx vs no "
                     "corpus)  results %s\n",
-                    ab_workloads2.size(), configs.size(),
+                    ab_workloads.size(), configs.size(),
                     corpus_ab.samples,
                     static_cast<unsigned long long>(
                         corpus_ab.fastforwardInsts / 1000),
@@ -458,7 +451,7 @@ main(int argc, char **argv)
             "%.4f,\n"
             "    \"reuse_ff_runs\": %llu, \"reuse_seconds\": "
             "%.4f, \"speedup\": %.2f, \"ff_mips\": %.1f},\n",
-            ab_workload_count, configs.size(), ab.samples,
+            ab_workloads.size(), configs.size(), ab.samples,
             static_cast<unsigned long long>(ab.fastforwardInsts),
             static_cast<unsigned long long>(legacy_stats.ffRuns),
             legacy_seconds,

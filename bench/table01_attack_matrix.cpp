@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -54,16 +55,24 @@ main(int argc, char **argv)
     // selects rows rather than reconfiguring cores.
     unsigned smt = 0;
     BenchObs obs;
-    const SampleParams params =
-        parseSampleArgs(argc, argv, {"--oracle", "--smt="}, &obs);
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--oracle")
+    const auto own = [&](const std::string &arg, std::string &error) {
+        if (arg == "--oracle") {
             oracle_strict = true;
-        else if (arg.rfind("--smt=", 0) == 0)
-            smt = static_cast<unsigned>(
-                parseFlagNumber(argv[0], arg, 6));
-    }
+        } else if (arg.rfind("--smt=", 0) == 0) {
+            const std::optional<std::uint64_t> n = parseUnsigned(
+                arg.substr(6), std::numeric_limits<unsigned>::max());
+            smt = static_cast<unsigned>(n.value_or(0));
+            if (!n)
+                error = "invalid value in '" + arg + "'";
+        } else {
+            return false;
+        }
+        return true;
+    };
+    const SampleParams params =
+        parseBenchArgs(argc, argv, {"--oracle", "--smt="}, &obs, nullptr,
+                       0, own)
+            .params;
 
     printBanner("Table 1: attack taxonomy");
     {
@@ -78,17 +87,9 @@ main(int argc, char **argv)
         t.print();
     }
 
-    const std::vector<Profile> profiles = {
-        Profile::kOoo,
-        Profile::kPermissive,
-        Profile::kPermissiveBr,
-        Profile::kStrict,
-        Profile::kStrictBr,
-        Profile::kRestrictedLoads,
-        Profile::kFullProtection,
-        Profile::kInvisiSpecSpectre,
-        Profile::kInvisiSpecFuture,
-    };
+    // Every profile but the in-order core, which never speculates.
+    std::vector<Profile> profiles = allProfiles();
+    std::erase(profiles, Profile::kInOrder);
     std::vector<std::string> attack_names;
     for (const auto &a : makeAllAttacks()) {
         if (smt == 1 && a->crossThread())
@@ -106,7 +107,7 @@ main(int argc, char **argv)
     // pre-sized result slots.
     std::atomic<std::size_t> done{0};
     ScopedTimer matrix_timer(obs.timings, "attack-matrix");
-    ThreadPool pool(params.jobs);
+    ThreadPool pool(ThreadPool::lanesFor(params.jobs, cells));
     pool.parallelFor(cells, [&](std::size_t i) {
         const std::size_t row = i / cols;
         const Profile p = profiles[i % cols];

@@ -10,7 +10,6 @@
  * term by term with zero residue.
  */
 
-#include <array>
 #include <cstdio>
 #include <iterator>
 
@@ -38,23 +37,19 @@ main(int argc, char **argv)
 {
     BenchObs obs;
     BenchCkpt ckpt;
-    BenchSmt smt;
-    const SampleParams sp = parseSampleArgs(
-        argc, argv,
-        {"--csv=", "--mshr=", BenchSmt::kUsageSmt,
-         BenchSmt::kUsagePolicy, BenchCkpt::kUsageDir,
-         BenchCkpt::kUsageMaxBytes, BenchCkpt::kUsageNoCkpt},
-        &obs, &ckpt, &smt);
     std::string csv_path;
-    unsigned mshr_entries = 0;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--csv=", 0) == 0)
+    GridSpec spec = parseBenchArgs(
+        argc, argv,
+        {"--csv=", BenchCkpt::kUsageDir, BenchCkpt::kUsageMaxBytes,
+         BenchCkpt::kUsageNoCkpt},
+        &obs, &ckpt, kCliMshr | kCliSmt,
+        [&](const std::string &arg, std::string &) {
+            if (arg.rfind("--csv=", 0) != 0)
+                return false;
             csv_path = arg.substr(6);
-        else if (arg.rfind("--mshr=", 0) == 0)
-            mshr_entries = static_cast<unsigned>(
-                parseFlagNumber(argv[0], arg, 7));
-    }
+            return true;
+        });
+    const SampleParams &sp = spec.params;
     printBanner("Table 2: NDA propagation policies and the attacks "
                 "they prevent (" + std::to_string(sp.jobs) + " jobs)");
 
@@ -76,26 +71,18 @@ main(int argc, char **argv)
 
     // Measure the overheads: one grid over all workloads x (baseline
     // OoO + the eight mechanism rows), every window concurrent.
-    const auto workloads = makeAllWorkloads();
-    std::vector<SimConfig> configs{makeProfile(Profile::kOoo)};
+    spec.profiles = {Profile::kOoo};
     for (const RowSpec &row : rows)
-        configs.push_back(makeProfile(row.profile));
-    for (SimConfig &cfg : configs) {
-        cfg.memory.mshrEntries = mshr_entries;
-        smt.apply(cfg);
-    }
-    const std::unique_ptr<CheckpointStore> corpus = ckpt.open();
+        spec.profiles.push_back(row.profile);
+    const auto workloads = spec.makeWorkloads();
     GridStats grid_stats;
-    ScopedTimer grid_timer(obs.timings, "grid");
-    const std::vector<RunResult> grid = runGrid(
-        workloads, configs, sp, gridProgress, &grid_stats,
-        corpus.get());
-    grid_timer.stop();
+    const std::vector<RunResult> grid =
+        runBenchGrid(spec, workloads, obs, &ckpt, &grid_stats);
 
     TablePrinter t({"mechanism", "ctrl-steer (mem)", "ctrl-steer "
                     "(GPRs)", "chosen code", "overhead (paper)",
                     "overhead (measured)"});
-    const std::size_t ncfg = configs.size();
+    const std::size_t ncfg = spec.profiles.size();
     std::vector<double> overheads;
     for (std::size_t r = 0; r < std::size(rows); ++r) {
         const RowSpec &row = rows[r];
@@ -115,35 +102,11 @@ main(int argc, char **argv)
     t.print();
 
     // ---- CPI-delta attribution (--cpi-stack) -------------------------
-    // Pooled per-config decomposition: contribution of cause c is
-    // slots_c / (width x insts), so the per-cause deltas of each
+    // Pooled per-config decomposition: the per-cause deltas of each
     // mechanism vs the baseline sum *exactly* to its pooled CPI delta.
-    std::vector<std::array<double, kNumStallCauses>> contrib(ncfg);
-    std::vector<double> pooled_cpi(ncfg, 0.0);
+    std::vector<PooledCpiStack> pooled;
     if (sp.cpiStack) {
-        for (std::size_t ci = 0; ci < ncfg; ++ci) {
-            std::array<std::uint64_t, kNumStallCauses> slots{};
-            std::uint64_t insts = 0;
-            std::uint64_t cycles = 0;
-            unsigned width = 0;
-            for (std::size_t i = 0; i < workloads.size(); ++i) {
-                const RunResult &r = grid[i * ncfg + ci];
-                for (int c = 0; c < kNumStallCauses; ++c)
-                    slots[c] += r.mean.slotStack[c];
-                insts += r.mean.instructions;
-                cycles += r.mean.cycles;
-                width = r.mean.slotWidth;
-            }
-            const double den = static_cast<double>(width) *
-                               static_cast<double>(insts);
-            for (int c = 0; c < kNumStallCauses; ++c)
-                contrib[ci][c] =
-                    den ? static_cast<double>(slots[c]) / den : 0.0;
-            pooled_cpi[ci] =
-                insts ? static_cast<double>(cycles) /
-                            static_cast<double>(insts)
-                      : 0.0;
-        }
+        pooled = pooledCpiStacks(grid, ncfg);
         std::printf("\nCPI-delta attribution vs OoO (cycles/inst, "
                     "workloads pooled;\ncolumns sum to the pooled CPI "
                     "delta):\n");
@@ -154,20 +117,21 @@ main(int argc, char **argv)
         for (int c = 0; c < kNumStallCauses; ++c) {
             bool any = false;
             for (std::size_t r = 0; r < std::size(rows); ++r)
-                any = any || contrib[r + 1][c] != contrib[0][c];
+                any = any ||
+                      pooled[r + 1].contrib[c] != pooled[0].contrib[c];
             if (!any)
                 continue;
             std::vector<std::string> drow{
                 stallCauseName(static_cast<StallCause>(c))};
             for (std::size_t r = 0; r < std::size(rows); ++r)
                 drow.push_back(TablePrinter::fmt(
-                    contrib[r + 1][c] - contrib[0][c], 3));
+                    pooled[r + 1].contrib[c] - pooled[0].contrib[c], 3));
             dt.addRow(drow);
         }
         std::vector<std::string> dsum{"dCPI (sum)"};
         for (std::size_t r = 0; r < std::size(rows); ++r)
-            dsum.push_back(TablePrinter::fmt(
-                pooled_cpi[r + 1] - pooled_cpi[0], 3));
+            dsum.push_back(
+                TablePrinter::fmt(pooled[r + 1].cpi - pooled[0].cpi, 3));
         dt.addRow(dsum);
         dt.print();
     }
@@ -191,12 +155,13 @@ main(int argc, char **argv)
                 CsvWriter::num(rows[r].paperOverhead, 4),
                 CsvWriter::num(overheads[r], 4)};
             if (sp.cpiStack) {
-                line.push_back(CsvWriter::num(pooled_cpi[r + 1], 6));
-                line.push_back(CsvWriter::num(
-                    pooled_cpi[r + 1] - pooled_cpi[0], 6));
+                line.push_back(CsvWriter::num(pooled[r + 1].cpi, 6));
+                line.push_back(
+                    CsvWriter::num(pooled[r + 1].cpi - pooled[0].cpi, 6));
                 for (int c = 0; c < kNumStallCauses; ++c)
                     line.push_back(CsvWriter::num(
-                        contrib[r + 1][c] - contrib[0][c], 6));
+                        pooled[r + 1].contrib[c] - pooled[0].contrib[c],
+                        6));
             }
             csv.row(line);
         }
@@ -212,8 +177,8 @@ main(int argc, char **argv)
 
     emitBenchObs(obs, "table02_overheads", Profile::kStrict, sp,
                  [&](RunManifest &m, StatsRegistry &reg) {
-                     m.set("mshr_entries",
-                           static_cast<std::uint64_t>(mshr_entries));
+                     m.set("mshr_entries", static_cast<std::uint64_t>(
+                                               spec.mshrEntries));
                      grid_stats.registerStats(reg, "harness");
                  });
     return 0;

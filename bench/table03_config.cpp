@@ -14,7 +14,7 @@ int
 main(int argc, char **argv)
 {
     BenchObs obs;
-    const SampleParams sp = parseSampleArgs(argc, argv, {}, &obs);
+    const SampleParams sp = parseBenchArgs(argc, argv, {}, &obs).params;
     printBanner("Table 3: simulation configuration");
     std::printf("%s\n", configTable(makeProfile(Profile::kOoo)).c_str());
     std::printf(

@@ -16,9 +16,13 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 
+#include "harness/grid_spec.hh"
 #include "harness/runner.hh"
 #include "harness/table_printer.hh"
 
@@ -34,6 +38,16 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        // Numeric value of a --flag=N argument, capped at `max`.
+        const auto number = [&arg](std::uint64_t max) {
+            const std::optional<std::uint64_t> n =
+                parseUnsigned(arg.substr(arg.find('=') + 1), max);
+            if (!n) {
+                std::fprintf(stderr, "invalid value in %s\n", arg.c_str());
+                std::exit(2);
+            }
+            return *n;
+        };
         if (arg.rfind("--", 0) != 0) {
             workload_name = arg;
         } else if (arg == "--br") {
@@ -55,10 +69,11 @@ main(int argc, char **argv)
                 : v == "future" ? InvisiSpecMode::kFuture
                                 : InvisiSpecMode::kOff;
         } else if (arg.rfind("--bcast-delay=", 0) == 0) {
-            cfg.security.extraBroadcastDelay =
-                static_cast<unsigned>(std::stoul(arg.substr(14)));
+            cfg.security.extraBroadcastDelay = static_cast<unsigned>(
+                number(std::numeric_limits<unsigned>::max()));
         } else if (arg.rfind("--insts=", 0) == 0) {
-            sp.measureInsts = std::stoull(arg.substr(8));
+            sp.measureInsts =
+                number(std::numeric_limits<std::uint64_t>::max());
         } else {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
             return 2;

@@ -14,6 +14,7 @@
 #ifndef NDASIM_COMMON_THREAD_POOL_HH
 #define NDASIM_COMMON_THREAD_POOL_HH
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -59,6 +60,15 @@ class ThreadPool
 
     /** std::thread::hardware_concurrency() with a floor of 1. */
     static unsigned defaultConcurrency();
+
+    /** Lanes worth starting for a batch of `tasks`: `jobs`, capped at
+     *  the task count, and at least 1. */
+    static unsigned
+    lanesFor(unsigned jobs, std::size_t tasks)
+    {
+        return static_cast<unsigned>(std::max<std::size_t>(
+            1, std::min<std::size_t>(jobs, tasks)));
+    }
 
   private:
     /** One batch of indexed tasks; lives on parallelFor's stack. */

@@ -1,11 +1,11 @@
 #include "harness/grid_service.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 
-#include "common/thread_pool.hh"
 #include "ckpt/checkpoint_store.hh"
 #include "harness/runner.hh"
 #include "obs/json_writer.hh"
@@ -268,63 +268,56 @@ class JsonParser
     bool ok_ = true;
 };
 
-/** One response line: compact JSON + the caller's framing newline. */
+/** One response line of `type` in compact JSON, echoing the request's
+ *  `id` when it had one; `fill` writes the rest. */
 std::string
-line(const std::function<void(JsonWriter &)> &fill)
+line(const char *type, const std::string &id,
+     const std::function<void(JsonWriter &)> &fill)
 {
     JsonWriter w(/*pretty=*/false);
     w.beginObject();
+    w.key("type");
+    w.value(type);
+    if (!id.empty()) {
+        w.key("id");
+        w.value(id);
+    }
     fill(w);
     w.endObject();
     return w.str();
 }
 
-struct RequestError {
-    std::string message;
-};
-
-/** Field extractors: wrong type is a protocol error, not a default. */
-std::uint64_t
-u64Field(const JsonValue &req, const char *key, std::uint64_t dflt)
+/** A request member as a field-table value: exact non-negative
+ *  integers and booleans; anything else is rejected by the table. */
+FieldValue
+fieldValue(const JsonValue &v)
 {
-    const JsonValue *v = req.find(key);
-    if (!v)
-        return dflt;
-    if (v->kind != JsonValue::Kind::kNumber || v->number < 0)
-        throw RequestError{std::string("field '") + key +
-                           "' must be a non-negative number"};
-    return static_cast<std::uint64_t>(v->number);
+    if (v.kind == JsonValue::Kind::kBool)
+        return v.boolean;
+    // 2^64: the first double past every uint64_t.
+    if (v.kind == JsonValue::Kind::kNumber && v.number >= 0 &&
+        v.number < 18446744073709551616.0 &&
+        v.number == std::floor(v.number)) {
+        return static_cast<std::uint64_t>(v.number);
+    }
+    return {};
 }
 
-bool
-boolField(const JsonValue &req, const char *key, bool dflt)
+/** An array-of-strings member; "" or an error naming `key`. */
+std::string
+nameList(const JsonValue &v, const std::string &key,
+         std::vector<std::string> &names)
 {
-    const JsonValue *v = req.find(key);
-    if (!v)
-        return dflt;
-    if (v->kind != JsonValue::Kind::kBool)
-        throw RequestError{std::string("field '") + key +
-                           "' must be a boolean"};
-    return v->boolean;
-}
-
-std::vector<std::string>
-nameListField(const JsonValue &req, const char *key)
-{
-    std::vector<std::string> names;
-    const JsonValue *v = req.find(key);
-    if (!v)
-        return names;
-    if (v->kind != JsonValue::Kind::kArray)
-        throw RequestError{std::string("field '") + key +
-                           "' must be an array of strings"};
-    for (const JsonValue &elem : v->array) {
+    const std::string error =
+        "field '" + key + "' must be an array of strings";
+    if (v.kind != JsonValue::Kind::kArray)
+        return error;
+    for (const JsonValue &elem : v.array) {
         if (elem.kind != JsonValue::Kind::kString)
-            throw RequestError{std::string("field '") + key +
-                               "' must be an array of strings"};
+            return error;
         names.push_back(elem.string);
     }
-    return names;
+    return "";
 }
 
 } // namespace
@@ -336,13 +329,7 @@ GridService::handleRequest(const std::string &request_line,
     std::string id;
     const auto error = [&](const std::string &message) {
         ++stats_.errors;
-        emit(line([&](JsonWriter &w) {
-            w.key("type");
-            w.value("error");
-            if (!id.empty()) {
-                w.key("id");
-                w.value(id);
-            }
+        emit(line("error", id, [&](JsonWriter &w) {
             w.key("error");
             w.value(message);
         }));
@@ -353,84 +340,19 @@ GridService::handleRequest(const std::string &request_line,
     std::string parse_error;
     if (!parseJson(request_line, req, parse_error))
         return error("bad JSON: " + parse_error);
-    if (req.kind != JsonValue::Kind::kObject)
-        return error("request must be a JSON object");
     if (const JsonValue *v = req.find("id");
         v && v->kind == JsonValue::Kind::kString) {
         id = v->string;
     }
-
-    SampleParams p;
-    std::vector<std::unique_ptr<Workload>> workloads;
-    std::vector<SimConfig> configs;
-    std::vector<Profile> profiles;
-    try {
-        p.fastforwardInsts = u64Field(req, "fastforward", 0);
-        p.warmupInsts = u64Field(req, "warmup", p.warmupInsts);
-        p.measureInsts = u64Field(req, "measure", p.measureInsts);
-        p.samples =
-            static_cast<unsigned>(u64Field(req, "samples", p.samples));
-        p.baseSeed = u64Field(req, "seed", p.baseSeed);
-        p.jobs = static_cast<unsigned>(u64Field(req, "jobs", 0));
-        if (p.jobs == 0)
-            p.jobs = ThreadPool::defaultConcurrency();
-        p.reuseCheckpoints = boolField(req, "reuse", true);
-        p.chainSamples = boolField(req, "chain", false);
-        p.cpiStack = boolField(req, "cpi_stack", false);
-
-        // SampleParams::validate() is NDA_FATAL — re-check its
-        // conditions here so a bad request degrades to an error line
-        // instead of killing the server.
-        if (p.samples == 0)
-            throw RequestError{"'samples' must be >= 1"};
-        if (p.measureInsts == 0)
-            throw RequestError{"'measure' must be >= 1"};
-        if (p.chainSamples && p.fastforwardInsts == 0)
-            throw RequestError{
-                "'chain' needs a nonzero 'fastforward' stride"};
-
-        const std::vector<std::string> wl_names =
-            nameListField(req, "workloads");
-        if (wl_names.empty()) {
-            workloads = makeAllWorkloads();
-        } else {
-            for (const std::string &name : wl_names) {
-                auto w = makeWorkload(name);
-                if (!w)
-                    throw RequestError{"unknown workload '" + name +
-                                       "'"};
-                workloads.push_back(std::move(w));
-            }
-        }
-
-        const std::vector<std::string> prof_names =
-            nameListField(req, "profiles");
-        if (prof_names.empty()) {
-            profiles = allProfiles();
-        } else {
-            for (const std::string &name : prof_names) {
-                Profile prof;
-                if (!profileByName(name, prof))
-                    throw RequestError{"unknown profile '" + name +
-                                       "'"};
-                profiles.push_back(prof);
-            }
-        }
-        for (Profile prof : profiles)
-            configs.push_back(makeProfile(prof));
-    } catch (const RequestError &e) {
-        return error(e.message);
-    }
+    GridSpec spec;
+    if (const std::string bad = gridSpecFromJson(req, spec); !bad.empty())
+        return error(bad);
+    const std::vector<std::unique_ptr<Workload>> workloads =
+        spec.makeWorkloads();
 
     GridStats gs;
     const auto progress = [&](std::size_t done, std::size_t total) {
-        emit(line([&](JsonWriter &w) {
-            w.key("type");
-            w.value("progress");
-            if (!id.empty()) {
-                w.key("id");
-                w.value(id);
-            }
+        emit(line("progress", id, [&](JsonWriter &w) {
             w.key("done");
             w.value(static_cast<std::uint64_t>(done));
             w.key("total");
@@ -438,22 +360,18 @@ GridService::handleRequest(const std::string &request_line,
         }));
     };
     const std::vector<RunResult> results =
-        runGrid(workloads, configs, p, progress, &gs, corpus_);
+        runGrid(workloads, spec.configs(), spec.params, progress, &gs,
+                corpus_);
 
     for (std::size_t w_idx = 0; w_idx < workloads.size(); ++w_idx) {
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            const RunResult &r = results[w_idx * configs.size() + c];
-            emit(line([&](JsonWriter &w) {
-                w.key("type");
-                w.value("cell");
-                if (!id.empty()) {
-                    w.key("id");
-                    w.value(id);
-                }
+        for (std::size_t c = 0; c < spec.profiles.size(); ++c) {
+            const RunResult &r =
+                results[w_idx * spec.profiles.size() + c];
+            emit(line("cell", id, [&](JsonWriter &w) {
                 w.key("workload");
                 w.value(workloads[w_idx]->name());
                 w.key("profile");
-                w.value(profileName(profiles[c]));
+                w.value(profileName(spec.profiles[c]));
                 w.key("cpi");
                 w.value(r.mean.cpi);
                 w.key("ci95");
@@ -493,13 +411,7 @@ GridService::handleRequest(const std::string &request_line,
     stats_.ckptMisses += gs.ckptMisses;
     stats_.ckptBytes += gs.ckptBytes;
 
-    emit(line([&](JsonWriter &w) {
-        w.key("type");
-        w.value("done");
-        if (!id.empty()) {
-            w.key("id");
-            w.value(id);
-        }
+    emit(line("done", id, [&](JsonWriter &w) {
         w.key("cells");
         w.value(static_cast<std::uint64_t>(results.size()));
         w.key("windows");
@@ -518,6 +430,39 @@ GridService::handleRequest(const std::string &request_line,
         w.value(gs.ffInsts);
     }));
     return true;
+}
+
+std::string
+gridSpecFromJson(const JsonValue &req, GridSpec &spec)
+{
+    if (req.kind != JsonValue::Kind::kObject)
+        return "request must be a JSON object";
+    for (const auto &[key, value] : req.object) {
+        std::string error;
+        if (key == "id") {
+            continue;
+        } else if (key == "workloads") {
+            spec.workloads.clear();
+            error = nameList(value, key, spec.workloads);
+        } else if (key == "profiles") {
+            std::vector<std::string> names;
+            if (error = nameList(value, key, names); !error.empty())
+                return error;
+            if (!names.empty())
+                spec.profiles.clear();
+            for (const std::string &name : names) {
+                Profile prof;
+                if (!profileByName(name, prof))
+                    return "unknown profile '" + name + "'";
+                spec.profiles.push_back(prof);
+            }
+        } else {
+            error = spec.setField(key, fieldValue(value));
+        }
+        if (!error.empty())
+            return error;
+    }
+    return spec.check();
 }
 
 bool

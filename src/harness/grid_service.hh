@@ -26,6 +26,8 @@
 #include <utility>
 #include <vector>
 
+#include "harness/grid_spec.hh"
+
 namespace nda {
 
 class CheckpointStore;
@@ -57,6 +59,12 @@ struct JsonValue {
 bool parseJson(const std::string &text, JsonValue &out,
                std::string &error);
 
+/**
+ * The JSON front end of GridSpec: fill `spec` from one request object
+ * (schema below). Returns "" with `spec` checked, or the first error.
+ */
+std::string gridSpecFromJson(const JsonValue &req, GridSpec &spec);
+
 /** Cumulative service-side totals across all requests handled. */
 struct GridServiceStats {
     std::uint64_t requests = 0;   ///< well-formed requests run
@@ -74,7 +82,7 @@ struct GridServiceStats {
  * same service core drives both the stdin line protocol and the unix
  * socket front end of bench/grid_server.
  *
- * Request schema (all fields optional unless noted):
+ * Request schema (every field optional):
  *
  *   {"id": "r1",                  // echoed on every response line
  *    "workloads": ["compute"],    // default: the full suite
@@ -86,6 +94,12 @@ struct GridServiceStats {
  *    "reuse": true,               // share checkpoints across profiles
  *    "cpi_stack": false}          // attach the causal CPI-stack
  *                                 // profiler to every window
+ *
+ * Every member but "id", "workloads" and "profiles" goes through
+ * GridSpec's field table (harness/grid_spec.hh), the one the bench
+ * command lines use. An unknown member is an error that names it; a
+ * numeric member must be a non-negative integer that fits its field
+ * ("samples" and "jobs" are 32-bit); the others must be booleans.
  *
  * Response lines (one JSON object per line, in request order):
  *
@@ -119,7 +133,6 @@ class GridService
     bool handleRequest(const std::string &line, const Emit &emit);
 
     const GridServiceStats &stats() const { return stats_; }
-    CheckpointStore *corpus() const { return corpus_; }
 
   private:
     CheckpointStore *corpus_;

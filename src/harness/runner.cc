@@ -15,19 +15,26 @@
 
 namespace nda {
 
+std::string
+SampleParams::check() const
+{
+    if (samples == 0)
+        return "'samples' is 0: at least one sample window is required "
+               "to measure anything";
+    if (measureInsts == 0)
+        return "'measure' (measureInsts) is 0: an empty measured window "
+               "would report CPI over zero instructions";
+    if (chainSamples && fastforwardInsts == 0)
+        return "'chain' needs a nonzero 'fastforward' stride: chained "
+               "sampling places windows at multiples of the stride";
+    return "";
+}
+
 void
 SampleParams::validate() const
 {
-    if (samples == 0)
-        NDA_FATAL("SampleParams::samples is 0 — at least one sample "
-                  "window is required to measure anything");
-    if (measureInsts == 0)
-        NDA_FATAL("SampleParams::measureInsts is 0 — an empty measured "
-                  "window would report CPI over zero instructions");
-    if (chainSamples && fastforwardInsts == 0)
-        NDA_FATAL("SampleParams::chainSamples needs fastforwardInsts "
-                  "> 0 — chained sampling places windows at multiples "
-                  "of the fast-forward stride");
+    if (const std::string error = check(); !error.empty())
+        NDA_FATAL("SampleParams: %s", error.c_str());
 }
 
 void
@@ -248,11 +255,9 @@ RunResult
 runSampled(const Workload &workload, const SimConfig &cfg,
            const SampleParams &p)
 {
-    SampleParams q = p;
-    q.jobs = std::min<unsigned>(std::max(1u, p.jobs), p.samples);
     const std::vector<const Workload *> ws{&workload};
     const std::vector<SimConfig> cs{cfg};
-    return runGrid(ws, cs, q).front();
+    return runGrid(ws, cs, p).front();
 }
 
 namespace {
@@ -337,64 +342,44 @@ runGrid(const std::vector<const Workload *> &workloads,
         const std::uint64_t geom_fp = geometryFingerprint(
             configs[0].memory, configs[0].core.predictor);
 
-        if (p.chainSamples) {
-            // One serial chain per workload; workloads in parallel.
-            ThreadPool ff_pool(std::max(1u, p.jobs));
-            ff_pool.parallelFor(workloads.size(), [&](std::size_t w) {
-                const Program prog = workloads[w]->build(p.baseSeed);
-                const SimSnapshot *prev = nullptr;
-                for (unsigned s = 0; s < p.samples; ++s) {
-                    const std::size_t task = w * p.samples + s;
-                    const std::uint64_t target = window_ff(s);
-                    const CkptKey key{workloads[w]->name(), p.baseSeed,
-                                      target, geom_fp};
-                    if (!corpusLoad(corpus, key, configs[0],
-                                    checkpoints[task],
-                                    &corpus_bytes[task])) {
-                        checkpoints[task] =
-                            prev ? extendWarmCheckpoint(
-                                       prog, *prev, target, nullptr,
-                                       &warm[task])
-                                 : buildWarmCheckpoint(
-                                       prog, configs[0].memory,
-                                       configs[0].core.predictor,
-                                       target, nullptr, &warm[task]);
-                        ff_insts[task] =
-                            target -
-                            (prev ? prev->arch.instCount : 0);
-                        built[task] = 1;
-                        if (corpus)
-                            corpus_bytes[task] += corpus->store(
-                                key, checkpoints[task]);
-                    }
-                    prev = &checkpoints[task];
-                }
-            });
-        } else {
-            ThreadPool ff_pool(std::max(1u, p.jobs));
-            ff_pool.parallelFor(n_ckpts, [&](std::size_t task) {
-                const std::size_t w = task / p.samples;
+        // Checkpoints are built in chains: chained sampling runs W
+        // chains of S checkpoints, each extending the previous one;
+        // classic sampling runs W x S chains of one. Chains run in
+        // parallel; a chain's task indices are consecutive.
+        const std::size_t chain_len = p.chainSamples ? p.samples : 1;
+        const std::size_t n_chains = n_ckpts / chain_len;
+        ThreadPool ff_pool(ThreadPool::lanesFor(p.jobs, n_chains));
+        ff_pool.parallelFor(n_chains, [&](std::size_t chain) {
+            const std::size_t first = chain * chain_len;
+            const Workload &workload = *workloads[first / p.samples];
+            const Program prog =
+                workload.build(window_seed(first % p.samples));
+            const SimSnapshot *prev = nullptr;
+            for (std::size_t task = first; task < first + chain_len;
+                 ++task) {
                 const std::size_t sample = task % p.samples;
-                const Program prog =
-                    workloads[w]->build(window_seed(sample));
-                const CkptKey key{workloads[w]->name(),
-                                  window_seed(sample),
-                                  p.fastforwardInsts, geom_fp};
+                const std::uint64_t target = window_ff(sample);
+                const CkptKey key{workload.name(), window_seed(sample),
+                                  target, geom_fp};
                 if (!corpusLoad(corpus, key, configs[0],
-                                checkpoints[task],
-                                &corpus_bytes[task])) {
-                    checkpoints[task] = buildWarmCheckpoint(
-                        prog, configs[0].memory,
-                        configs[0].core.predictor, p.fastforwardInsts,
-                        nullptr, &warm[task]);
-                    ff_insts[task] = p.fastforwardInsts;
+                                checkpoints[task], &corpus_bytes[task])) {
+                    checkpoints[task] =
+                        prev ? extendWarmCheckpoint(prog, *prev, target,
+                                                    nullptr, &warm[task])
+                             : buildWarmCheckpoint(
+                                   prog, configs[0].memory,
+                                   configs[0].core.predictor, target,
+                                   nullptr, &warm[task]);
+                    ff_insts[task] =
+                        target - (prev ? prev->arch.instCount : 0);
                     built[task] = 1;
                     if (corpus)
                         corpus_bytes[task] +=
                             corpus->store(key, checkpoints[task]);
                 }
-            });
-        }
+                prev = &checkpoints[task];
+            }
+        });
         if (stats) {
             for (std::size_t task = 0; task < n_ckpts; ++task) {
                 stats->ffRuns += built[task];
@@ -420,7 +405,7 @@ runGrid(const std::vector<const Workload *> &workloads,
     std::size_t done = 0;
     {
         ScopedTimer t(timings, "detailed");
-        ThreadPool pool(std::max(1u, p.jobs));
+        ThreadPool pool(ThreadPool::lanesFor(p.jobs, total));
         pool.parallelFor(total, [&](std::size_t task) {
             const std::size_t cell = task / p.samples;
             const std::size_t sample = task % p.samples;

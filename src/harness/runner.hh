@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "core/core_config.hh"
@@ -97,10 +98,15 @@ struct SampleParams {
      */
     bool cpiStack = false;
 
-    /** NDA_FATAL on parameters that cannot produce a measurement
-     *  (zero samples, an empty measured window, or chained sampling
-     *  without a stride). */
+    /** "" when these parameters can produce a measurement, else why
+     *  not: zero samples, an empty measured window, or chained
+     *  sampling without a stride. */
+    std::string check() const;
+
+    /** NDA_FATAL with check()'s error, if any. */
     void validate() const;
+
+    bool operator==(const SampleParams &) const = default;
 };
 
 /** Measured statistics of one sample window. */
@@ -222,8 +228,9 @@ RunResult runSampled(const Workload &workload, const SimConfig &cfg,
  * Sweep a full workload x config grid in three phases: build one
  * checkpoint per (workload, sample) — shared across profiles when
  * p.reuseCheckpoints — then dispatch every (cell, sample) window to a
- * pool of `p.jobs` lanes. Cell results are returned in row-major
- * order: result[w * configs.size() + c].
+ * pool of up to `p.jobs` lanes (never more lanes than a phase has
+ * tasks). Cell results are returned in row-major order:
+ * result[w * configs.size() + c].
  *
  * `progress`, if set, is invoked after each *measured* window
  * completes with (windows done so far, total windows); fast-forwards

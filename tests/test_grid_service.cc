@@ -16,6 +16,7 @@
 
 #include "ckpt/checkpoint_store.hh"
 #include "harness/grid_service.hh"
+#include "harness/grid_spec.hh"
 
 namespace nda {
 namespace {
@@ -167,6 +168,12 @@ TEST(GridService, RejectsBadRequestsWithErrorLinesAndSurvives)
         {R"({"samples":"three"})", "non-negative number"},
         {R"({"workloads":"compute"})", "array of strings"},
         {R"({"chain":1})", "boolean"},
+        {R"({"smaples":9})", "unknown field 'smaples'"},
+        {R"({"mshr":4})", "unknown field 'mshr'"},
+        {R"({"samples":1.9})", "samples"},
+        {R"({"samples":4294967297})", "samples"},
+        {R"({"measure":1e30})", "measure"},
+        {R"({"jobs":4294967296})", "jobs"},
     };
     for (const auto &c : cases) {
         Captured cap;
@@ -187,6 +194,96 @@ TEST(GridService, RejectsBadRequestsWithErrorLinesAndSurvives)
     Captured cap;
     EXPECT_TRUE(service.handleRequest(kSmallRequest, cap.emit()));
     EXPECT_EQ(cap.ofType("done").size(), 1u);
+}
+
+// --------------------------------------------------------------------------
+// GridSpec: the command-line and JSON front ends
+// --------------------------------------------------------------------------
+
+TEST(GridSpec, CliSpellingOfSmallRequestMatchesJson)
+{
+    GridSpec json;
+    ASSERT_EQ(gridSpecFromJson(parsed(kSmallRequest), json), "");
+
+    GridSpec cli;
+    ASSERT_EQ(gridSpecFromArgs({"--fastforward=6000", "--warmup=500",
+                                "--insts=1000", "--samples=2",
+                                "--jobs=2", "--chain"},
+                               cli),
+              "");
+    // Workloads and profiles are fixed by each bench, not flags.
+    cli.workloads = {"compute"};
+    cli.profiles = {Profile::kOoo, Profile::kStrict};
+    EXPECT_EQ(cli, json);
+
+    const std::vector<RunResult> a =
+        runGrid(cli.makeWorkloads(), cli.configs(), cli.params);
+    const std::vector<RunResult> b =
+        runGrid(json.makeWorkloads(), json.configs(), json.params);
+    ASSERT_EQ(a.size(), 2u);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].cpiSamples, b[i].cpiSamples);
+        EXPECT_EQ(a[i].mean.cycles, b[i].mean.cycles);
+        EXPECT_EQ(a[i].mean.mlp, b[i].mean.mlp);
+    }
+}
+
+TEST(GridSpec, CliRejectsValuesThatDoNotFitTheirField)
+{
+    const struct {
+        std::vector<std::string> args;
+        const char *needle;
+    } cases[] = {
+        {{"--samples=4294967297"}, "samples"},
+        {{"--jobs=4294967296"}, "jobs"},
+        {{"--smt=4294967296"}, "--smt="},
+        {{"--smt=0"}, "--smt="},
+        {{"--mshr=4294967296"}, "--mshr="},
+        {{"--seed=18446744073709551616"}, "seed"},
+        {{"--samples=-1"}, "samples"},
+        {{"--warmup= 5"}, "warmup"},
+        {{"--insts=1e3"}, "measure"},
+        {{"--insts=0"}, "measure"},
+        {{"--chain"}, "stride"},
+        {{"--chain=1"}, "unrecognized"},
+        {{"--smt-policy=fifo"}, "fifo"},
+    };
+    for (const auto &c : cases) {
+        GridSpec spec;
+        const std::string error =
+            gridSpecFromArgs(c.args, spec, kCliMshr | kCliSmt);
+        EXPECT_NE(error.find(c.needle), std::string::npos)
+            << c.args[0] << " gave: '" << error << "'";
+    }
+
+    // The hardware flags exist only where a bench opts into them.
+    GridSpec spec;
+    EXPECT_NE(gridSpecFromArgs({"--mshr=4"}, spec).find("unrecognized"),
+              std::string::npos);
+    EXPECT_EQ(gridSpecFromArgs({"--mshr=4", "--smt=2",
+                                "--smt-policy=icount",
+                                "--samples=4294967295"},
+                               spec, kCliMshr | kCliSmt),
+              "");
+    EXPECT_EQ(spec.params.samples, 4294967295u);
+    const SimConfig cfg = spec.configs().front();
+    EXPECT_EQ(cfg.memory.mshrEntries, 4u);
+    EXPECT_EQ(cfg.core.smtThreads, 2u);
+    EXPECT_EQ(cfg.core.smtFetchPolicy, SmtFetchPolicy::kIcount);
+}
+
+TEST(GridSpec, ParseUnsignedIsStrict)
+{
+    EXPECT_EQ(parseUnsigned("0"), 0u);
+    EXPECT_EQ(parseUnsigned("18446744073709551615"),
+              18446744073709551615ull);
+    EXPECT_EQ(parseUnsigned("4294967295", 4294967295u), 4294967295u);
+    for (const char *bad : {"", "-1", "+1", " 1", "1 ", "1.0", "0x10",
+                            "18446744073709551616"}) {
+        EXPECT_FALSE(parseUnsigned(bad).has_value()) << bad;
+    }
+    EXPECT_FALSE(parseUnsigned("4294967296", 4294967295u).has_value());
 }
 
 TEST(GridService, SharesCorpusAcrossRequestsBitIdentically)

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <stdexcept>
 #include <vector>
 
@@ -188,6 +190,35 @@ TEST(ParallelRunner, GridProgressCoversEveryWindow)
         last_done = done;
     });
     EXPECT_EQ(calls, sp.samples);
+}
+
+/** Threads of this process right now. */
+std::size_t
+liveThreads()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        ++n;
+    }
+    return n;
+}
+
+TEST(ParallelRunner, PoolsStartNoMoreLanesThanTasks)
+{
+    std::vector<std::unique_ptr<Workload>> ws;
+    ws.push_back(makeWorkload("compute"));
+    const std::vector<SimConfig> configs{makeProfile(Profile::kOoo)};
+    SampleParams sp = quickParams(16);
+    sp.samples = 2;
+    const std::size_t before = liveThreads();
+    std::size_t peak = 0;
+    runGrid(ws, configs, sp, [&](std::size_t, std::size_t) {
+        peak = std::max(peak, liveThreads());
+    });
+    // Two windows: the calling thread plus at most one worker.
+    EXPECT_GT(peak, 0u);
+    EXPECT_LE(peak, before + 1);
 }
 
 } // namespace
