@@ -140,10 +140,18 @@ struct Cursor {
     void
     bytes(std::uint8_t *out, std::size_t n)
     {
+        if (const std::uint8_t *in = span(n))
+            std::memcpy(out, in, n);
+    }
+
+    /** The next `n` bytes in place (null once failed). */
+    const std::uint8_t *
+    span(std::size_t n)
+    {
         if (!need(n))
-            return;
-        std::memcpy(out, data + pos, n);
+            return nullptr;
         pos += n;
+        return data + pos - n;
     }
 
     std::string
@@ -213,12 +221,13 @@ writeMemMap(std::vector<std::uint8_t> &b, const MemoryMap &mem)
 {
     const std::vector<Addr> pages = mem.residentPages();
     putU64(b, pages.size());
-    std::array<std::uint8_t, MemoryMap::kPageBytes> page{};
+    b.reserve(b.size() + pages.size() * (8 + 1 + MemoryMap::kPageBytes));
     for (const Addr base : pages) {
         putU64(b, base);
         putU8(b, mem.permAt(base) == MemPerm::kKernel ? 1 : 0);
-        mem.readBytes(base, page.data(), page.size());
-        putBytes(b, page.data(), page.size());
+        const std::size_t at = b.size();
+        b.resize(at + MemoryMap::kPageBytes);
+        mem.readBytes(base, b.data() + at, MemoryMap::kPageBytes);
     }
 }
 
@@ -226,17 +235,16 @@ void
 readMemMap(Cursor &c, MemoryMap &mem)
 {
     const std::uint64_t n = c.count(8 + 1 + MemoryMap::kPageBytes);
-    std::array<std::uint8_t, MemoryMap::kPageBytes> page{};
     for (std::uint64_t i = 0; i < n && !c.failed; ++i) {
         const Addr base = c.u64();
         const bool kernel = c.u8() != 0;
-        c.bytes(page.data(), page.size());
+        const std::uint8_t *page = c.span(MemoryMap::kPageBytes);
         if (c.failed)
             break;
         // writeBytes materializes the page even when all-zero, which
         // is exactly right: the resident-page set is part of the
         // MemoryMap equality contract.
-        mem.writeBytes(base, page.data(), page.size());
+        mem.writeBytes(base, page, MemoryMap::kPageBytes);
         if (kernel)
             mem.setPerm(base, MemoryMap::kPageBytes, MemPerm::kKernel);
     }
@@ -494,19 +502,41 @@ appendSection(std::vector<std::uint8_t> &out, std::uint32_t id,
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t len)
 {
-    // IEEE 802.3 reflected polynomial, nibble-at-a-time table.
-    static constexpr std::uint32_t kTable[16] = {
-        0x00000000, 0x1DB71064, 0x3B6E20C8, 0x26D930AC,
-        0x76DC4190, 0x6B6B51F4, 0x4DB26158, 0x5005713C,
-        0xEDB88320, 0xF00F9344, 0xD6D6A3E8, 0xCB61B38C,
-        0x9B64C2B0, 0x86D3D2D4, 0xA00AE278, 0xBDBDF21C,
+    // IEEE 802.3 reflected polynomial, slicing-by-8: kTable[0] is the
+    // byte-at-a-time table, kTable[k][b] the CRC of byte b followed by
+    // k zero bytes, so eight lookups fold in eight input bytes.
+    static constexpr auto kTable = [] {
+        std::array<std::array<std::uint32_t, 256>, 8> t{};
+        for (std::uint32_t b = 0; b < 256; ++b) {
+            std::uint32_t crc = b;
+            for (int bit = 0; bit < 8; ++bit)
+                crc = (crc >> 1) ^ (crc & 1 ? 0xEDB88320u : 0u);
+            t[0][b] = crc;
+        }
+        for (std::size_t k = 1; k < t.size(); ++k) {
+            for (std::size_t b = 0; b < 256; ++b)
+                t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xFF];
+        }
+        return t;
+    }();
+    const auto le32 = [](const std::uint8_t *p) {
+        return static_cast<std::uint32_t>(p[0]) |
+               static_cast<std::uint32_t>(p[1]) << 8 |
+               static_cast<std::uint32_t>(p[2]) << 16 |
+               static_cast<std::uint32_t>(p[3]) << 24;
     };
+
     std::uint32_t crc = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < len; ++i) {
-        crc ^= data[i];
-        crc = (crc >> 4) ^ kTable[crc & 0xF];
-        crc = (crc >> 4) ^ kTable[crc & 0xF];
+    for (; len >= 8; data += 8, len -= 8) {
+        const std::uint32_t lo = crc ^ le32(data);
+        const std::uint32_t hi = le32(data + 4);
+        crc = kTable[7][lo & 0xFF] ^ kTable[6][(lo >> 8) & 0xFF] ^
+              kTable[5][(lo >> 16) & 0xFF] ^ kTable[4][lo >> 24] ^
+              kTable[3][hi & 0xFF] ^ kTable[2][(hi >> 8) & 0xFF] ^
+              kTable[1][(hi >> 16) & 0xFF] ^ kTable[0][hi >> 24];
     }
+    for (; len > 0; ++data, --len)
+        crc = (crc >> 8) ^ kTable[0][(crc ^ *data) & 0xFF];
     return ~crc;
 }
 
@@ -678,12 +708,16 @@ CkptReader::readFile(const std::string &path, SimSnapshot &out)
         error_ = "cannot open '" + path + "'";
         return false;
     }
+    // One buffer, sized once from the file length.
     std::vector<std::uint8_t> bytes;
-    std::uint8_t chunk[1 << 16];
-    std::size_t n = 0;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-        bytes.insert(bytes.end(), chunk, chunk + n);
-    const bool read_err = std::ferror(f) != 0;
+    bool read_err = std::fseek(f, 0, SEEK_END) != 0;
+    const long size = read_err ? -1 : std::ftell(f);
+    read_err = read_err || size < 0 || std::fseek(f, 0, SEEK_SET) != 0;
+    if (!read_err) {
+        bytes.resize(static_cast<std::size_t>(size));
+        read_err = std::fread(bytes.data(), 1, bytes.size(), f) !=
+                   bytes.size();
+    }
     std::fclose(f);
     if (read_err) {
         error_ = "read error on '" + path + "'";

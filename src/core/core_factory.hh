@@ -14,7 +14,8 @@
 
 namespace nda {
 
-/** Build a core for `cfg`. `prog` must outlive the returned core. */
+/** Build a core for `cfg` running `prog` (copied as the core
+ *  constructors describe; `prog` need not outlive the core). */
 std::unique_ptr<CoreBase> makeCore(const Program &prog,
                                    const SimConfig &cfg);
 

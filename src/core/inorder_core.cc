@@ -24,15 +24,15 @@ stallSlotCause(CycleClass cls)
 
 } // namespace
 
-InOrderCore::InOrderCore(Program prog, const SimConfig &cfg)
-    : prog_(std::move(prog)), cfg_(cfg), hier_(cfg.memory)
+InOrderCore::InOrderCore(const Program &prog, const SimConfig &cfg)
+    : prog_(prog), cfg_(cfg), hier_(cfg.memory)
 {
-    loadDataSegments(prog_, mem_);
+    loadDataSegments(prog, mem_);
     for (int i = 0; i < kNumArchRegs; ++i)
-        regs_[i] = prog_.initialRegs[i];
+        regs_[i] = prog.initialRegs[i];
     for (int i = 0; i < kNumMsrRegs; ++i)
-        msrs_[i] = prog_.initialMsrs[i];
-    pc_ = prog_.entry;
+        msrs_[i] = prog.initialMsrs[i];
+    pc_ = prog.entry;
 }
 
 void

@@ -19,8 +19,9 @@ namespace nda {
 class InOrderCore : public CoreBase
 {
   public:
-    /** The core keeps its own copy of `prog`. */
-    InOrderCore(Program prog, const SimConfig &cfg);
+    /** The core copies `prog`'s code; the data image goes straight
+     *  into its memory, so `prog` need not outlive the core. */
+    InOrderCore(const Program &prog, const SimConfig &cfg);
 
     /**
      * Advance one cycle; when the current instruction's latency has
@@ -69,7 +70,7 @@ class InOrderCore : public CoreBase
      *  blocking core never overlaps misses). */
     AccessResult dataTiming(Addr addr, MshrTargetKind kind);
 
-    const Program prog_;
+    const ProgramCode prog_;
     SimConfig cfg_;
     MemoryMap mem_;
     MemHierarchy hier_;

@@ -12,8 +12,8 @@
 
 namespace nda {
 
-OooCore::OooCore(Program prog, const SimConfig &cfg)
-    : prog_(std::move(prog)),
+OooCore::OooCore(const Program &prog, const SimConfig &cfg)
+    : prog_(prog),
       cfg_(cfg),
       numThreads_(std::max(1u, cfg.core.smtThreads)),
       hier_(cfg.memory),
@@ -28,7 +28,7 @@ OooCore::OooCore(Program prog, const SimConfig &cfg)
     NDA_ASSERT(cfg.core.numPhysRegs >=
                    numThreads_ * kNumArchRegs + cfg.core.robEntries,
                "need at least arch-per-thread + ROB physical registers");
-    loadDataSegments(prog_, mem_);
+    loadDataSegments(prog, mem_);
     regs_.reset(kNumArchRegs, numThreads_);
     for (unsigned t = 0; t < numThreads_; ++t) {
         ThreadContext &tc = threads_[t];
@@ -37,16 +37,16 @@ OooCore::OooCore(Program prog, const SimConfig &cfg)
         tc.rmap.reset(base);
         for (unsigned r = 0; r < kNumArchRegs; ++r) {
             regs_.setValue(static_cast<PhysRegId>(base + r),
-                           prog_.initialRegs[r]);
+                           prog.initialRegs[r]);
             tc.commitMap[r] = static_cast<PhysRegId>(base + r);
         }
         for (int i = 0; i < kNumMsrRegs; ++i)
-            tc.msrs[i] = prog_.initialMsrs[i];
+            tc.msrs[i] = prog.initialMsrs[i];
         // Thread 0 runs the program entry; co-resident contexts start
         // at the SMT entry when the program provides one.
-        tc.fetchPc = t == 0 || prog_.smtEntry == ~Addr{0}
-                         ? prog_.entry
-                         : prog_.smtEntry;
+        tc.fetchPc = t == 0 || prog.smtEntry == ~Addr{0}
+                         ? prog.entry
+                         : prog.smtEntry;
     }
     if (numThreads_ > 1)
         threadCounters_.resize(numThreads_);

@@ -48,8 +48,9 @@ enum class FuzzCorruption : std::uint8_t;
 class OooCore : public CoreBase
 {
   public:
-    /** The core keeps its own copy of `prog`. */
-    OooCore(Program prog, const SimConfig &cfg);
+    /** The core copies `prog`'s code; the data image goes straight
+     *  into its memory, so `prog` need not outlive the core. */
+    OooCore(const Program &prog, const SimConfig &cfg);
 
     void tick() override;
     void run(std::uint64_t max_insts, Cycle max_cycles) override;
@@ -369,7 +370,7 @@ class OooCore : public CoreBase
     }
 
     // --- configuration / program -----------------------------------------
-    const Program prog_;
+    const ProgramCode prog_;
     SimConfig cfg_;
     unsigned numThreads_;
 

@@ -26,6 +26,22 @@ constexpr std::uint64_t kSliceInsts = 1'000'000'000;
 /** Oracle (interpreter) instruction budget per candidate. */
 constexpr std::uint64_t kOracleInsts = 10'000'000;
 
+/** "<what><index> = <got>, oracle <want>", appended into one string:
+ *  a chain of operator+ temporaries draws a spurious GCC 12
+ *  -Wrestrict warning here. */
+std::string
+mismatchText(const char *what, int index, std::uint64_t got,
+             std::uint64_t want)
+{
+    std::string text = what;
+    text += std::to_string(index);
+    text += " = ";
+    text += std::to_string(got);
+    text += ", oracle ";
+    text += std::to_string(want);
+    return text;
+}
+
 /** FNV-1a, the fingerprint accumulator. */
 struct Fnv {
     std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -295,18 +311,14 @@ fuzzProgram(const Program &prog, std::uint64_t seed,
         for (int r = 0; r < kNumArchRegs; ++r) {
             if (got.regs[r] != want.regs[r]) {
                 fail(profile, FuzzFailureKind::kArchMismatch,
-                     "r" + std::to_string(r) + " = " +
-                         std::to_string(got.regs[r]) + ", oracle " +
-                         std::to_string(want.regs[r]));
+                     mismatchText("r", r, got.regs[r], want.regs[r]));
                 break;
             }
         }
         for (int i = 0; i < kNumMsrRegs; ++i) {
             if (got.msrs[i] != want.msrs[i]) {
                 fail(profile, FuzzFailureKind::kArchMismatch,
-                     "msr" + std::to_string(i) + " = " +
-                         std::to_string(got.msrs[i]) + ", oracle " +
-                         std::to_string(want.msrs[i]));
+                     mismatchText("msr", i, got.msrs[i], want.msrs[i]));
                 break;
             }
         }
@@ -335,10 +347,8 @@ fuzzProgram(const Program &prog, std::uint64_t seed,
             for (int r = 0; r < kNumArchRegs; ++r) {
                 if (got.regTaint[r] != want.regTaint[r]) {
                     fail(profile, FuzzFailureKind::kTaintMismatch,
-                         "taint of r" + std::to_string(r) + " = " +
-                             std::to_string(got.regTaint[r]) +
-                             ", oracle " +
-                             std::to_string(want.regTaint[r]));
+                         mismatchText("taint of r", r, got.regTaint[r],
+                                      want.regTaint[r]));
                     break;
                 }
             }

@@ -250,16 +250,36 @@ class JsonParser
     void
     parseNumber(JsonValue &out)
     {
-        const char *start = text_.c_str() + pos_;
-        char *end = nullptr;
-        const double v = std::strtod(start, &end);
-        if (end == start) {
+        // RFC 8259 only: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+        // strtod alone would also take hex, inf/nan, '+' and '.5'.
+        const std::size_t start = pos_;
+        const auto digits = [this] {
+            const std::size_t from = pos_;
+            while (pos_ < text_.size() && text_[pos_] >= '0' &&
+                   text_[pos_] <= '9')
+                ++pos_;
+            return pos_ > from;
+        };
+        consume('-');
+        if (!consume('0') && !digits()) {
             fail("expected value");
             return;
         }
+        if (consume('.') && !digits()) {
+            fail("expected digits after '.'");
+            return;
+        }
+        if (consume('e') || consume('E')) {
+            if (!consume('+'))
+                consume('-');
+            if (!digits()) {
+                fail("expected exponent digits");
+                return;
+            }
+        }
         out.kind = JsonValue::Kind::kNumber;
-        out.number = v;
-        pos_ += static_cast<std::size_t>(end - start);
+        out.number =
+            std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
     }
 
     const std::string &text_;

@@ -1,6 +1,8 @@
 #include "harness/runner.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <mutex>
 
 #include "common/log.hh"
@@ -108,15 +110,13 @@ GridStats::registerStats(StatsRegistry &reg,
               "built or resumed; 0 unless chained sampling");
     g.formula("ff_mips", [this] { return ffMips(); },
               "fast-forward throughput, functional MIPS (ff_insts / "
-              "fast_forward phase wall-clock)");
+              "lane seconds spent obtaining shared checkpoints)");
 }
 
 WindowStats
-runWindow(const Workload &workload, const SimConfig &cfg,
-          std::uint64_t seed, const SampleParams &p,
+runWindow(const Program &prog, const SimConfig &cfg, const SampleParams &p,
           const SimSnapshot *ckpt, WindowWork *work)
 {
-    const Program prog = workload.build(seed);
     auto core = makeCore(prog, cfg);
     WindowWork local;
 
@@ -151,7 +151,7 @@ runWindow(const Workload &workload, const SimConfig &cfg,
         ++local.restores;
         NDA_ASSERT(!core->halted(),
                    "workload '%s' halted during fast-forward — too "
-                   "short", workload.name().c_str());
+                   "short", prog.name.c_str());
     }
 
     // Warm pipeline state (and, without a fast-forward, caches and
@@ -159,7 +159,7 @@ runWindow(const Workload &workload, const SimConfig &cfg,
     core->run(p.warmupInsts, ~Cycle{0});
     NDA_ASSERT(!core->halted(),
                "workload '%s' halted during warm-up — too short",
-               workload.name().c_str());
+               prog.name.c_str());
     local.warmupInsts += p.warmupInsts;
 
     // Measured window.
@@ -169,7 +169,7 @@ runWindow(const Workload &workload, const SimConfig &cfg,
     core->run(p.measureInsts, ~Cycle{0});
     NDA_ASSERT(!core->halted(),
                "workload '%s' halted during measurement",
-               workload.name().c_str());
+               prog.name.c_str());
 
     const PerfCounters &c = core->counters();
     local.measuredInsts += c.committedInsts;
@@ -196,6 +196,14 @@ runWindow(const Workload &workload, const SimConfig &cfg,
         w.hotspots = cpi->hotspots().topN(kHotspotTopN);
     }
     return w;
+}
+
+WindowStats
+runWindow(const Workload &workload, const SimConfig &cfg,
+          std::uint64_t seed, const SampleParams &p,
+          const SimSnapshot *ckpt, WindowWork *work)
+{
+    return runWindow(workload.build(seed), cfg, p, ckpt, work);
 }
 
 RunResult
@@ -262,6 +270,41 @@ runSampled(const Workload &workload, const SimConfig &cfg,
 
 namespace {
 
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+/**
+ * A value built by the first task that asks for it (concurrent askers
+ * wait) and dropped by the last of its `users`: a grid's programs and
+ * checkpoints live only while windows still need them.
+ */
+template <typename T>
+struct Shared {
+    std::once_flag once;
+    std::atomic<std::size_t> users{0};
+    T value{};
+
+    template <typename Make>
+    const T &
+    get(Make &&make)
+    {
+        std::call_once(once, [&] { value = make(); });
+        return value;
+    }
+
+    void
+    release()
+    {
+        if (--users == 0)
+            value = T{};
+    }
+};
+
 /**
  * Corpus probe used by the shared-checkpoint phase: a hit must be
  * CRC-clean (CheckpointStore::load enforces that) AND structurally
@@ -298,11 +341,12 @@ runGrid(const std::vector<const Workload *> &workloads,
         GridStats *stats, CheckpointStore *corpus)
 {
     p.validate();
-    const std::size_t cells = workloads.size() * configs.size();
+    const std::size_t n_configs = configs.size();
+    const std::size_t cells = workloads.size() * n_configs;
     const std::size_t total = cells * p.samples;
     std::vector<WindowStats> windows(total);
     std::vector<WindowWork> work(total);
-    PhaseTimings timings;
+    std::vector<double> window_secs(total, 0.0);
 
     // The effective fast-forward and program seed of one (workload,
     // sample): chained sampling measures offsets s x stride of ONE
@@ -319,117 +363,144 @@ runGrid(const std::vector<const Workload *> &workloads,
                    : p.baseSeed + static_cast<std::uint64_t>(sample);
     };
 
-    // Phase 1: one warming checkpoint per (workload, sample), built
-    // with the first config's geometry and shared across profiles.
-    // The functional prefix of a sample does not depend on the
-    // profile, so this turns W*S*P fast-forwards into W*S — and with
-    // chained sampling into W fast-forward *chains*. A corpus, when
-    // given, replaces builds with loads wherever it already holds the
-    // (workload, seed, ff, geometry) entry.
-    std::vector<SimSnapshot> checkpoints;
+    // One Program per distinct (workload, seed): S per workload, or
+    // one under chained sampling. Built by the first task that needs
+    // it, used by its checkpoints and every profile's window, and
+    // released by the last of those windows.
+    const std::size_t progs_per_w = p.chainSamples ? 1 : p.samples;
+    const auto program_of = [&](std::size_t w, std::size_t sample) {
+        return w * progs_per_w + (p.chainSamples ? 0 : sample);
+    };
+    std::vector<Shared<Program>> programs(workloads.size() * progs_per_w);
+    for (auto &prog : programs)
+        prog.users = n_configs * p.samples / progs_per_w;
+    const auto program = [&](std::size_t w, std::size_t sample)
+        -> const Program & {
+        return programs[program_of(w, sample)].get([&] {
+            return workloads[w]->build(window_seed(sample));
+        });
+    };
+
+    // One warming checkpoint per (workload, sample), built with the
+    // first config's geometry and shared across profiles. The
+    // functional prefix of a sample does not depend on the profile,
+    // so this turns W*S*P fast-forwards into W*S, and with chained
+    // sampling into W fast-forward *chains*: checkpoint s extends
+    // checkpoint s-1. A corpus, when given, replaces builds with
+    // loads wherever it already holds the (workload, seed, ff,
+    // geometry) entry. A checkpoint is released once its windows
+    // (and, chained, the next link) are done with it.
     const bool share = p.reuseCheckpoints && p.fastforwardInsts > 0 &&
                        !configs.empty() && !workloads.empty();
-    if (share) {
-        ScopedTimer t(timings, "fast_forward");
-        const std::size_t n_ckpts = workloads.size() * p.samples;
-        checkpoints.resize(n_ckpts);
-        // Per-task accounting slots: reduced in index order below, so
-        // the numbers are identical for any pool schedule.
-        std::vector<WarmingWork> warm(n_ckpts);
-        std::vector<std::uint64_t> ff_insts(n_ckpts, 0);
-        std::vector<std::uint8_t> built(n_ckpts, 0);
-        std::vector<std::uint64_t> corpus_bytes(n_ckpts, 0);
-        const std::uint64_t geom_fp = geometryFingerprint(
-            configs[0].memory, configs[0].core.predictor);
-
-        // Checkpoints are built in chains: chained sampling runs W
-        // chains of S checkpoints, each extending the previous one;
-        // classic sampling runs W x S chains of one. Chains run in
-        // parallel; a chain's task indices are consecutive.
-        const std::size_t chain_len = p.chainSamples ? p.samples : 1;
-        const std::size_t n_chains = n_ckpts / chain_len;
-        ThreadPool ff_pool(ThreadPool::lanesFor(p.jobs, n_chains));
-        ff_pool.parallelFor(n_chains, [&](std::size_t chain) {
-            const std::size_t first = chain * chain_len;
-            const Workload &workload = *workloads[first / p.samples];
-            const Program prog =
-                workload.build(window_seed(first % p.samples));
-            const SimSnapshot *prev = nullptr;
-            for (std::size_t task = first; task < first + chain_len;
-                 ++task) {
-                const std::size_t sample = task % p.samples;
-                const std::uint64_t target = window_ff(sample);
-                const CkptKey key{workload.name(), window_seed(sample),
-                                  target, geom_fp};
-                if (!corpusLoad(corpus, key, configs[0],
-                                checkpoints[task], &corpus_bytes[task])) {
-                    checkpoints[task] =
-                        prev ? extendWarmCheckpoint(prog, *prev, target,
-                                                    nullptr, &warm[task])
-                             : buildWarmCheckpoint(
-                                   prog, configs[0].memory,
-                                   configs[0].core.predictor, target,
-                                   nullptr, &warm[task]);
-                    ff_insts[task] =
-                        target - (prev ? prev->arch.instCount : 0);
-                    built[task] = 1;
-                    if (corpus)
-                        corpus_bytes[task] +=
-                            corpus->store(key, checkpoints[task]);
-                }
-                prev = &checkpoints[task];
-            }
-        });
-        if (stats) {
-            for (std::size_t task = 0; task < n_ckpts; ++task) {
-                stats->ffRuns += built[task];
-                stats->ffInsts += ff_insts[task];
-                stats->warmITouches += warm[task].iTouches;
-                stats->warmDTouches += warm[task].dTouches;
-                stats->warmBpTrains += warm[task].bpTrains;
-                if (corpus) {
-                    stats->ckptHits += built[task] ? 0 : 1;
-                    stats->ckptMisses += built[task] ? 1 : 0;
-                    stats->ckptBytes += corpus_bytes[task];
-                }
-            }
-            if (p.chainSamples)
-                stats->ckptChainLen =
-                    std::max<std::uint64_t>(stats->ckptChainLen,
-                                            p.samples);
-        }
+    const std::size_t n_ckpts = workloads.size() * p.samples;
+    std::vector<Shared<SimSnapshot>> checkpoints(share ? n_ckpts : 0);
+    for (std::size_t i = 0; i < checkpoints.size(); ++i) {
+        const bool extended =
+            p.chainSamples && i % p.samples + 1 < p.samples;
+        checkpoints[i].users = n_configs + (extended ? 1 : 0);
     }
+    // Per-checkpoint accounting slots: reduced in index order below,
+    // so the numbers are identical for any pool schedule.
+    std::vector<WarmingWork> warm(n_ckpts);
+    std::vector<std::uint64_t> ff_insts(n_ckpts, 0);
+    std::vector<std::uint8_t> built(n_ckpts, 0);
+    std::vector<std::uint64_t> corpus_bytes(n_ckpts, 0);
+    std::vector<double> ff_secs(n_ckpts, 0.0);
+    const std::uint64_t geom_fp =
+        share ? geometryFingerprint(configs[0].memory,
+                                    configs[0].core.predictor)
+              : 0;
+    const auto checkpoint = [&](auto &self, std::size_t i)
+        -> const SimSnapshot & {
+        return checkpoints[i].get([&] {
+            const std::size_t w = i / p.samples;
+            const std::size_t sample = i % p.samples;
+            // A chain link follows its predecessor (loaded or built).
+            const SimSnapshot *prev =
+                p.chainSamples && sample > 0 ? &self(self, i - 1)
+                                             : nullptr;
+            const auto t0 = std::chrono::steady_clock::now();
+            const std::uint64_t target = window_ff(sample);
+            const CkptKey key{workloads[w]->name(), window_seed(sample),
+                              target, geom_fp};
+            SimSnapshot snap;
+            if (!corpusLoad(corpus, key, configs[0], snap,
+                            &corpus_bytes[i])) {
+                const Program &prog = program(w, sample);
+                snap = prev ? extendWarmCheckpoint(prog, *prev, target,
+                                                   nullptr, &warm[i])
+                            : buildWarmCheckpoint(
+                                  prog, configs[0].memory,
+                                  configs[0].core.predictor, target,
+                                  nullptr, &warm[i]);
+                ff_insts[i] = target - (prev ? prev->arch.instCount : 0);
+                built[i] = 1;
+                if (corpus)
+                    corpus_bytes[i] += corpus->store(key, snap);
+            }
+            ff_secs[i] = secondsSince(t0);
+            if (prev)
+                checkpoints[i - 1].release();
+            return snap;
+        });
+    };
 
-    // Phase 2: every (cell, sample) detailed window, in parallel.
+    // One pool runs the (workload, sample) groups sample-major, so
+    // the chains of all workloads advance together: each group is its
+    // checkpoint task, then its P windows. The checkpoint task of a
+    // group starts `ahead` groups early, so with L lanes L
+    // fast-forwards run side by side while the grid still holds only
+    // the programs and checkpoints of the groups in flight. With one
+    // lane: one checkpoint, then its windows. A window whose
+    // checkpoint is still being built waits for it.
+    const std::size_t lanes = ThreadPool::lanesFor(p.jobs, total);
+    const std::size_t ahead = share ? lanes - 1 : 0;
+    const std::size_t n_groups = workloads.size() * p.samples;
+    const std::size_t group = n_configs + (share ? 1 : 0);
+    const auto ckpt_of = [&](std::size_t g) {
+        return g % workloads.size() * p.samples + g / workloads.size();
+    };
     std::mutex progress_mutex;
     std::size_t done = 0;
-    {
-        ScopedTimer t(timings, "detailed");
-        ThreadPool pool(ThreadPool::lanesFor(p.jobs, total));
-        pool.parallelFor(total, [&](std::size_t task) {
-            const std::size_t cell = task / p.samples;
-            const std::size_t sample = task % p.samples;
-            const std::size_t w = cell / configs.size();
-            const std::size_t c = cell % configs.size();
-            const SimSnapshot *ckpt =
-                share ? &checkpoints[w * p.samples + sample] : nullptr;
-            // The fallback path inside runWindow (no shared
-            // checkpoint, or incompatible geometry) must place this
-            // window at its own offset, so hand it the per-sample
-            // fast-forward.
-            SampleParams q = p;
-            q.fastforwardInsts = window_ff(sample);
-            windows[task] = runWindow(*workloads[w], configs[c],
-                                      window_seed(sample), q, ckpt,
-                                      &work[task]);
-            if (progress) {
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                progress(++done, total);
-            }
-        });
-    }
+    ThreadPool pool(lanes);
+    pool.parallelFor(ahead + n_groups * group, [&](std::size_t task) {
+        if (task < ahead) {
+            if (task < n_groups)
+                checkpoint(checkpoint, ckpt_of(task));
+            return;
+        }
+        task -= ahead;
+        const std::size_t g = task / group;
+        if (share && task % group == 0) {
+            if (g + ahead < n_groups)
+                checkpoint(checkpoint, ckpt_of(g + ahead));
+            return;
+        }
+        const std::size_t w = g % workloads.size();
+        const std::size_t sample = g / workloads.size();
+        const std::size_t c = task % group - (share ? 1 : 0);
+        const SimSnapshot *ckpt =
+            share ? &checkpoint(checkpoint, ckpt_of(g)) : nullptr;
+        const auto t0 = std::chrono::steady_clock::now();
+        // The fallback path inside runWindow (no shared checkpoint, or
+        // incompatible geometry) must place this window at its own
+        // offset, so hand it the per-sample fast-forward.
+        SampleParams q = p;
+        q.fastforwardInsts = window_ff(sample);
+        const std::size_t out = (w * n_configs + c) * p.samples + sample;
+        windows[out] =
+            runWindow(program(w, sample), configs[c], q, ckpt, &work[out]);
+        window_secs[out] = secondsSince(t0);
+        if (share)
+            checkpoints[ckpt_of(g)].release();
+        programs[program_of(w, sample)].release();
+        if (progress) {
+            std::lock_guard<std::mutex> lock(progress_mutex);
+            progress(++done, total);
+        }
+    });
 
-    // Phase 3: reduce in index order (scheduling-independent).
+    // Reduce in index order (scheduling-independent).
     std::vector<RunResult> results;
     results.reserve(cells);
     std::vector<WindowStats> cell_windows(p.samples);
@@ -439,10 +510,31 @@ runGrid(const std::vector<const Workload *> &workloads,
         results.push_back(aggregateWindows(cell_windows));
     }
     if (stats) {
-        for (const WindowWork &w : work)
-            stats->accumulate(w);
-        for (const auto &phase : timings.phases())
-            stats->timings.record(phase.first, phase.second);
+        double ff_total = 0.0;
+        for (std::size_t i = 0; i < checkpoints.size(); ++i) {
+            stats->ffRuns += built[i];
+            stats->ffInsts += ff_insts[i];
+            stats->warmITouches += warm[i].iTouches;
+            stats->warmDTouches += warm[i].dTouches;
+            stats->warmBpTrains += warm[i].bpTrains;
+            if (corpus) {
+                stats->ckptHits += built[i] ? 0 : 1;
+                stats->ckptMisses += built[i] ? 1 : 0;
+                stats->ckptBytes += corpus_bytes[i];
+            }
+            ff_total += ff_secs[i];
+        }
+        if (share && p.chainSamples)
+            stats->ckptChainLen =
+                std::max<std::uint64_t>(stats->ckptChainLen, p.samples);
+        double detailed_total = 0.0;
+        for (std::size_t t = 0; t < total; ++t) {
+            stats->accumulate(work[t]);
+            detailed_total += window_secs[t];
+        }
+        if (share)
+            stats->timings.record("fast_forward", ff_total);
+        stats->timings.record("detailed", detailed_total);
     }
     return results;
 }

@@ -184,12 +184,13 @@ struct GridStats {
     /** Longest fast-forward chain (checkpoints per workload) this
      *  grid built or resumed; 0 unless chainSamples. */
     std::uint64_t ckptChainLen = 0;
-    /** Host seconds per phase: "fast_forward", "detailed". */
+    /** Host seconds summed over pool lanes: "fast_forward" (obtaining
+     *  shared checkpoints) and "detailed" (running windows). */
     PhaseTimings timings;
 
     void accumulate(const WindowWork &w);
 
-    /** Wall-clock seconds spent in the fast-forward phase. */
+    /** Lane seconds spent obtaining shared checkpoints. */
     double ffSeconds() const;
 
     /** Fast-forward throughput in MIPS (0 before any fast-forward). */
@@ -208,10 +209,16 @@ struct RunResult {
 };
 
 /**
- * Run one sample window: fast-forward (or restore `ckpt` when given
- * and structurally compatible with `cfg`), detailed warm-up, measured
- * window. `work`, if set, receives this window's harness-side cost.
+ * Run one sample window of `prog`: fast-forward (or restore `ckpt` when given and structurally
+ * compatible with `cfg`), detailed warm-up, measured window. `work`,
+ * if set, receives this window's harness-side cost.
  */
+WindowStats runWindow(const Program &prog, const SimConfig &cfg,
+                      const SampleParams &p,
+                      const SimSnapshot *ckpt = nullptr,
+                      WindowWork *work = nullptr);
+
+/** runWindow on `workload`'s program for `seed`, built for this window. */
 WindowStats runWindow(const Workload &workload, const SimConfig &cfg,
                       std::uint64_t seed, const SampleParams &p,
                       const SimSnapshot *ckpt = nullptr,
@@ -225,12 +232,16 @@ RunResult runSampled(const Workload &workload, const SimConfig &cfg,
                      const SampleParams &p);
 
 /**
- * Sweep a full workload x config grid in three phases: build one
- * checkpoint per (workload, sample) — shared across profiles when
- * p.reuseCheckpoints — then dispatch every (cell, sample) window to a
- * pool of up to `p.jobs` lanes (never more lanes than a phase has
- * tasks). Cell results are returned in row-major order:
- * result[w * configs.size() + c].
+ * Sweep a full workload x config grid. Each (workload, sample) is one
+ * group of tasks: its checkpoint (shared across profiles when
+ * p.reuseCheckpoints), then one window per config. Each distinct
+ * (workload, seed) program is built once, by the first task that
+ * needs it. Programs and checkpoints are dropped once their last
+ * window is done, so the grid holds only what the groups in flight
+ * use. The groups run sample-major on a pool of up to `p.jobs` lanes
+ * (never more lanes than windows), each checkpoint started lanes - 1
+ * groups ahead of its windows. Cell results are returned in row-major
+ * order: result[w * configs.size() + c].
  *
  * `progress`, if set, is invoked after each *measured* window
  * completes with (windows done so far, total windows); fast-forwards

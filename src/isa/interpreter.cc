@@ -183,10 +183,10 @@ loadDataSegments(const Program &prog, MemoryMap &mem)
     }
 }
 
-Interpreter::Interpreter(Program prog)
-    : prog_(std::move(prog)), pre_(prog_)
+Interpreter::Interpreter(const Program &prog)
+    : prog_(prog), pre_(prog)
 {
-    st_.reset(prog_);
+    st_.reset(prog);
 }
 
 ArchState

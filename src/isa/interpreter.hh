@@ -83,8 +83,9 @@ enum class StepResult : std::uint8_t {
 class Interpreter
 {
   public:
-    /** The interpreter keeps its own copy of `prog`. */
-    explicit Interpreter(Program prog);
+    /** The interpreter copies `prog`'s code; the data image goes
+     *  straight into its memory. */
+    explicit Interpreter(const Program &prog);
 
     /**
      * Execute one instruction through the switch-dispatched slow
@@ -181,7 +182,7 @@ class Interpreter
     template <bool WarmHier, bool WarmBp, bool HasDift>
     std::uint64_t runImpl(std::uint64_t max_insts);
 
-    const Program prog_;
+    const ProgramCode prog_;
     const PredecodedProgram pre_;       ///< decode-once op stream
     ArchState st_;
     WarmingWork warmWork_;

@@ -60,6 +60,38 @@ struct Program {
 };
 
 /**
+ * What an execution engine (interpreter, timing core) keeps of a
+ * Program: the code and its fault handling. The data image and the
+ * initial registers go into the engine's own state at construction, so
+ * no engine holds a second copy of a (megabyte-sized) image.
+ */
+struct ProgramCode {
+    explicit ProgramCode(const Program &prog)
+        : code(prog.code), faultHandler(prog.faultHandler),
+          privilegedMsrMask(prog.privilegedMsrMask)
+    {
+    }
+
+    std::vector<MicroOp> code;
+    /** PC to redirect to on a committed fault; ~0 = halt on fault. */
+    Addr faultHandler;
+    /** MSR indices that fault when read from user mode. */
+    std::uint8_t privilegedMsrMask;
+
+    const MicroOp &
+    at(Addr pc) const
+    {
+        return code[static_cast<std::size_t>(pc)];
+    }
+
+    bool
+    validPc(Addr pc) const
+    {
+        return static_cast<std::size_t>(pc) < code.size();
+    }
+};
+
+/**
  * Fluent builder for Programs with forward-referencable labels.
  *
  * Usage:

@@ -31,10 +31,14 @@ class MemoryMap
     /** Write the low `size` bytes of `value`. */
     void write(Addr addr, RegVal value, unsigned size);
 
-    /** Bulk-initialize a span. */
+    /**
+     * Bulk-initialize a span, one page lookup and one memcpy per page
+     * it touches. Every touched page becomes resident.
+     */
     void writeBytes(Addr addr, const std::uint8_t *bytes, std::size_t len);
 
-    /** Read a span into `out`; unmapped bytes are 0. */
+    /** Read a span into `out`, page by page; unmapped bytes are 0 and
+     *  no page is materialized. */
     void readBytes(Addr addr, std::uint8_t *out, std::size_t len) const;
 
     /** Set protection on all pages overlapping [addr, addr+len). */

@@ -273,6 +273,71 @@ TEST(CkptSerializer, SingleThreadSnapshotStaysSchemaV1)
     EXPECT_TRUE(back.extraThreads.empty());
 }
 
+// --------------------------------------------------------------------------
+// CRC and file bytes: the format is frozen, whatever computes it
+// --------------------------------------------------------------------------
+
+/** Bit-at-a-time CRC32 (reflected 0xEDB88320), the reference. */
+std::uint32_t
+crc32Bitwise(const std::uint8_t *data, std::size_t len)
+{
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < len; ++i) {
+        crc ^= data[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ (crc & 1 ? 0xEDB88320u : 0u);
+    }
+    return ~crc;
+}
+
+/** FNV-1a 64 of a byte image. */
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(CkptSerializer, Crc32MatchesCheckValueAndBitwiseReference)
+{
+    const char *check = "123456789";
+    EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t *>(check), 9),
+              0xCBF43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+
+    // Every length through several 8-byte blocks plus a tail, from
+    // every alignment.
+    std::vector<std::uint8_t> buf(8 + 72);
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    for (std::size_t off = 0; off < 8; ++off) {
+        for (std::size_t len = 0; len <= 72; ++len) {
+            ASSERT_EQ(crc32(buf.data() + off, len),
+                      crc32Bitwise(buf.data() + off, len))
+                << "offset " << off << " length " << len;
+        }
+    }
+}
+
+TEST(CkptSerializer, CheckpointBytesArePinned)
+{
+    // Fingerprints of files written before the page-granular copies
+    // and the table-driven CRC: an existing corpus stays loadable.
+    CkptWriter single;
+    single.put(interpCheckpoint("stream", 7, 4'000));
+    EXPECT_EQ(single.bytes().size(), 6995345u);
+    EXPECT_EQ(fnv1a(single.bytes()), 0x7c7b4823708a8f00ull);
+
+    CkptWriter smt;
+    smt.put(smtCheckpoint());
+    EXPECT_EQ(smt.bytes().size(), 694556u);
+    EXPECT_EQ(fnv1a(smt.bytes()), 0x380e57dce36c80b6ull);
+}
+
 TEST(CkptSerializer, RejectsThreadsSectionInV1File)
 {
     // A THREADS section is meaningless under schema v1; a file that
@@ -711,6 +776,35 @@ TEST(ChainedGrid, WarmCorpusIsBitIdenticalAndSkipsFastForwards)
         << "a warm corpus must eliminate every fast-forward";
     EXPECT_EQ(warm_stats.ffInsts, 0u);
     EXPECT_EQ(store.entryCount(), n_ckpts);
+}
+
+TEST(ChainedGrid, CorpusHitInMidChainResumesFromTheLoadedLink)
+{
+    // The corpus holds only the middle link (offset 2 x stride, from a
+    // one-sample grid at twice the stride): link 0 is built, link 1
+    // is loaded, and link 2 extends the loaded link 1.
+    ScratchDir dir("ckpt_grid_corpus_mid");
+    std::vector<std::unique_ptr<Workload>> ws;
+    ws.push_back(makeWorkload("compute"));
+    ws.push_back(makeWorkload("stream"));
+    const std::vector<SimConfig> configs{makeProfile(Profile::kOoo),
+                                         makeProfile(Profile::kStrict)};
+    const SampleParams sp = chainedParams();
+    const auto none = runGrid(ws, configs, sp);
+
+    CheckpointStore store(dir.str());
+    SampleParams prime = chainedParams();
+    prime.fastforwardInsts *= 2;
+    prime.samples = 1;
+    runGrid(ws, configs, prime, nullptr, nullptr, &store);
+    ASSERT_EQ(store.entryCount(), ws.size());
+
+    GridStats stats;
+    const auto mid = runGrid(ws, configs, sp, nullptr, &stats, &store);
+    expectIdentical(none, mid);
+    EXPECT_EQ(stats.ckptHits, ws.size());
+    EXPECT_EQ(stats.ckptMisses, 2 * ws.size());
+    EXPECT_EQ(stats.ffInsts, 2 * ws.size() * sp.fastforwardInsts);
 }
 
 TEST(ChainedGrid, NonChainedCorpusAlsoHitsAcrossRuns)

@@ -174,6 +174,13 @@ TEST(GridService, RejectsBadRequestsWithErrorLinesAndSurvives)
         {R"({"samples":4294967297})", "samples"},
         {R"({"measure":1e30})", "measure"},
         {R"({"jobs":4294967296})", "jobs"},
+        // Numbers outside the RFC 8259 grammar are not JSON.
+        {R"({"measure":0x3e8})", "bad JSON"},
+        {R"({"measure":infinity})", "bad JSON"},
+        {R"({"measure":nan})", "bad JSON"},
+        {R"({"measure":+5})", "bad JSON"},
+        {R"({"measure":.5})", "bad JSON"},
+        {R"({"measure":01})", "bad JSON"},
     };
     for (const auto &c : cases) {
         Captured cap;

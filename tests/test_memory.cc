@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/xrandom.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/memory_map.hh"
@@ -70,6 +73,98 @@ TEST(MemoryMap, ClearDropsEverything)
     m.clear();
     EXPECT_EQ(m.read(0x100, 8), 0u);
     EXPECT_EQ(m.permAt(0x100), MemPerm::kUser);
+}
+
+// The bulk copies work a page-sized chunk at a time; these pin them to
+// the byte-at-a-time semantics of write()/read(), resident pages
+// included (MemoryMap::operator== compares the resident-page set).
+
+constexpr Addr kPage = MemoryMap::kPageBytes;
+
+/** Bulk-copy spans that exercise every chunking edge. */
+struct Span {
+    Addr addr;
+    std::size_t len;
+};
+
+std::vector<Span>
+bulkSpans(std::uint64_t seed)
+{
+    std::vector<Span> spans = {
+        {0x3000, 0},                   // empty
+        {0x3000 + 17, 0},              // empty, mid-page
+        {2 * kPage - 3, 7},            // straddles one boundary
+        {5 * kPage + 100, 3 * kPage},  // across several pages
+        {7 * kPage + 96, kPage - 96},  // ends exactly on a boundary
+        {9 * kPage, kPage},            // exactly one page
+        {11 * kPage - 1, 2 * kPage + 2}, // starts/ends one byte over
+    };
+    XRandom rng(seed);
+    for (int i = 0; i < 200; ++i) {
+        const Addr addr = rng.below(24 * kPage);
+        const std::size_t len = rng.chance(1, 4)
+                                    ? rng.below(4 * kPage + 1)
+                                    : rng.below(64);
+        spans.push_back({addr, len});
+    }
+    return spans;
+}
+
+TEST(MemoryMap, WriteBytesMatchesByteAtATimeReference)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        XRandom rng(seed * 977);
+        MemoryMap bulk, ref;
+        for (const Span &s : bulkSpans(seed)) {
+            std::vector<std::uint8_t> bytes(s.len);
+            for (std::uint8_t &b : bytes)
+                b = static_cast<std::uint8_t>(rng.next());
+            bulk.writeBytes(s.addr, bytes.data(), bytes.size());
+            for (std::size_t i = 0; i < s.len; ++i)
+                ref.write(s.addr + i, bytes[i], 1);
+            ASSERT_TRUE(bulk == ref)
+                << "seed " << seed << " span @" << s.addr << " +"
+                << s.len;
+        }
+        EXPECT_EQ(bulk.residentPages(), ref.residentPages());
+    }
+}
+
+TEST(MemoryMap, ReadBytesMatchesByteAtATimeReference)
+{
+    // Partly mapped address space: a few scattered spans written, the
+    // rest absent, so reads cross mapped/unmapped page boundaries.
+    MemoryMap m;
+    XRandom rng(42);
+    for (const Span &s : {Span{kPage + 5, 2 * kPage}, Span{6 * kPage, 9},
+                          Span{13 * kPage - 40, 80}}) {
+        std::vector<std::uint8_t> bytes(s.len);
+        for (std::uint8_t &b : bytes)
+            b = static_cast<std::uint8_t>(rng.range(1, 255));
+        m.writeBytes(s.addr, bytes.data(), bytes.size());
+    }
+    const MemoryMap before = m;
+    for (const Span &s : bulkSpans(7)) {
+        std::vector<std::uint8_t> out(s.len + 2, 0xA5);
+        m.readBytes(s.addr, out.data() + 1, s.len);
+        EXPECT_EQ(out.front(), 0xA5);
+        EXPECT_EQ(out.back(), 0xA5) << "wrote past the span";
+        for (std::size_t i = 0; i < s.len; ++i) {
+            ASSERT_EQ(out[i + 1], m.read(s.addr + i, 1))
+                << "span @" << s.addr << " +" << s.len << " byte " << i;
+        }
+    }
+    EXPECT_TRUE(m == before) << "reads must not materialize pages";
+}
+
+TEST(MemoryMap, ReadBytesOfUnmappedSpanIsZeroAndAllocatesNothing)
+{
+    MemoryMap m;
+    std::vector<std::uint8_t> out(3 * kPage, 0xFF);
+    m.readBytes(kPage - 10, out.data(), out.size());
+    for (std::uint8_t b : out)
+        ASSERT_EQ(b, 0u);
+    EXPECT_EQ(m.pageCount(), 0u);
 }
 
 CacheParams
