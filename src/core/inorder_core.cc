@@ -42,15 +42,14 @@ InOrderCore::tick()
         return;
     ++cycle_;
     ++counters_.cycles;
-    // MSHR mode: fills land while the core is stalled on them, so
-    // mshrEntries = 1 reproduces the legacy blocking numbers. The +1
-    // matches the legacy charging convention: a miss charged `lat` at
-    // cycle c overlaps its commit cycle (cost += lat - 1), so the
-    // next access to that line happens at c + lat - 1 and must see
+    // Non-blocking policy: fills land while the core is stalled on
+    // them, so mshrEntries = 1 reproduces the eager blocking numbers.
+    // The +1 matches the eager charging convention: a miss charged
+    // `lat` at cycle c overlaps its commit cycle (cost += lat - 1), so
+    // the next access to that line happens at c + lat - 1 and must see
     // the fill scheduled for c + lat — drain everything due by the
     // END of this cycle.
-    if (hier_.mshrEnabled())
-        hier_.advance(cycle_ + 1);
+    hier_.advance(cycle_ + 1);
     if (cycle_ < busyUntil_) {
         ++counters_.cycleClass[static_cast<int>(stallClass_)];
         if (cpiStack_) {
@@ -141,12 +140,10 @@ InOrderCore::restoreCheckpoint(const SimSnapshot &snap)
 AccessResult
 InOrderCore::dataTiming(Addr addr, MshrTargetKind kind)
 {
-    if (!hier_.mshrEnabled())
-        return hier_.dataAccess(addr);
-    // Blocking semantics through the non-blocking plumbing: the stall
-    // covers the fill latency, so at most this one data miss (plus the
-    // step's own fetch miss) is ever in flight and rejection cannot
-    // happen. seq carries the commit index; nothing here squashes.
+    // Blocking semantics under either policy: the stall covers the
+    // fill latency, so at most this one data miss (plus the step's own
+    // fetch miss) is ever in flight and rejection cannot happen. seq
+    // carries the commit index; nothing here squashes.
     const MemRequestResult req = hier_.dataRequest(
         addr, cycle_, static_cast<InstSeqNum>(committed_), kind);
     NDA_ASSERT(!req.rejected(),
@@ -172,17 +169,10 @@ InOrderCore::step()
     const Addr fetch_addr = pcToFetchAddr(pc_);
     const Addr line = fetch_addr / kLineSize;
     if (!cfg_.inOrderParams.lineBuffer || line != lastFetchLine_) {
-        unsigned fetch_lat;
-        if (hier_.mshrEnabled()) {
-            const MemRequestResult res =
-                hier_.instRequest(fetch_addr, cycle_);
-            NDA_ASSERT(!res.rejected(),
-                       "blocking core overflowed the I-side MSHR file");
-            fetch_lat = res.latency;
-        } else {
-            fetch_lat = hier_.instAccess(fetch_addr).latency;
-        }
-        cost += fetch_lat - 1;
+        const MemRequestResult res = hier_.instRequest(fetch_addr, cycle_);
+        NDA_ASSERT(!res.rejected(),
+                   "blocking core overflowed the I-side MSHR file");
+        cost += res.latency - 1;
         lastFetchLine_ = line;
     }
 
@@ -248,6 +238,9 @@ InOrderCore::step()
         hier_.flushLine(a + static_cast<Addr>(uop.imm));
         break;
       case Opcode::kPrefetch:
+        // Eager even under the non-blocking policy: the line installs
+        // with no MSHR entry (a known bypass; honouring a rejection
+        // needs retry in this blocking core).
         hier_.dataAccess(a + static_cast<Addr>(uop.imm));
         break;
       case Opcode::kRdMsr: {

@@ -65,8 +65,8 @@ class InOrderCore : public CoreBase
     /** Execute one instruction; returns its total cycle cost. */
     Cycle step();
 
-    /** Data-side timing for one access: legacy eager path, or the
-     *  MSHR request path when enabled (identical latencies — the
+    /** Data-side timing for one access through the hierarchy's
+     *  request path (either policy gives identical latencies — the
      *  blocking core never overlaps misses). */
     AccessResult dataTiming(Addr addr, MshrTargetKind kind);
 

@@ -1,5 +1,7 @@
 #include "isa/program.hh"
 
+#include <utility>
+
 #include "common/log.hh"
 
 namespace nda {
@@ -308,6 +310,9 @@ ProgramBuilder::faultHandlerAt(Label l)
 Program
 ProgramBuilder::build()
 {
+    NDA_ASSERT(!built_, "program '%s' already built; reuse the Program",
+               prog_.name.c_str());
+    built_ = true;
     for (const auto &[pc, label_id] : fixups_) {
         NDA_ASSERT(labelPcs_[label_id] >= 0,
                    "label %d used at pc %zu but never bound",
@@ -321,7 +326,11 @@ ProgramBuilder::build()
             static_cast<Addr>(labelPcs_[pendingFaultHandler_]);
     }
     NDA_ASSERT(!prog_.code.empty(), "empty program");
-    return prog_;
+    // Drop the growth slack emission left, as a copy would: callers
+    // keep the Program alive for the whole run.
+    prog_.code.shrink_to_fit();
+    prog_.data.shrink_to_fit();
+    return std::move(prog_);
 }
 
 } // namespace nda

@@ -198,7 +198,8 @@ class ProgramBuilder
     ProgramBuilder &initMsr(unsigned msr, RegVal v, bool privileged);
     ProgramBuilder &faultHandlerAt(Label l);
 
-    /** Resolve all labels and produce the Program. */
+    /** Resolve all labels and move the Program out (once: a second
+     *  call is a fatal error — build once and reuse the Program). */
     Program build();
 
   private:
@@ -211,6 +212,7 @@ class ProgramBuilder
     /** instruction index -> label id to patch into imm. */
     std::map<std::size_t, int> fixups_;
     int pendingFaultHandler_ = -1;
+    bool built_ = false;
 };
 
 } // namespace nda

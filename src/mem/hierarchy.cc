@@ -4,15 +4,22 @@
 
 namespace nda {
 
+namespace {
+
+/** Secondary-miss targets each MSHR entry can coalesce. */
+constexpr unsigned kMshrTargets = 8;
+
+} // namespace
+
 MemHierarchy::MemHierarchy(const HierarchyParams &params)
     : params_(params), l1i_(params.l1i), l1d_(params.l1d),
       l2_(params.l2),
-      mshrI_("mshr_i", params.mshrEntries, params.mshrTargets),
-      mshrD_("mshr_d", params.mshrEntries, params.mshrTargets),
+      mshrI_("mshr_i", params.mshrEntries, kMshrTargets),
+      mshrD_("mshr_d", params.mshrEntries, kMshrTargets),
       // Sized so the L2 file can never reject a line an L1 file
       // accepted: every pending L2 entry is backed by at least one
       // pending L1 entry.
-      mshrL2_("mshr_l2", 2 * params.mshrEntries, params.mshrTargets)
+      mshrL2_("mshr_l2", 2 * params.mshrEntries, kMshrTargets)
 {
     NDA_ASSERT(!mshrEnabled() ||
                    (params_.l1i.lineBytes == params_.l1d.lineBytes &&
@@ -21,13 +28,25 @@ MemHierarchy::MemHierarchy(const HierarchyParams &params)
 }
 
 AccessResult
-MemHierarchy::dataAccess(Addr addr)
+MemHierarchy::eagerAccess(Cache &l1, Addr addr)
 {
-    if (l1d_.access(addr))
-        return {params_.l1d.hitLatency, HitLevel::kL1};
+    if (l1.access(addr))
+        return {l1.params().hitLatency, HitLevel::kL1};
     if (l2_.access(addr))
         return {params_.l2.hitLatency, HitLevel::kL2};
     return {params_.l2.hitLatency + params_.dramLatency, HitLevel::kMemory};
+}
+
+AccessResult
+MemHierarchy::dataAccess(Addr addr)
+{
+    return eagerAccess(l1d_, addr);
+}
+
+AccessResult
+MemHierarchy::instAccess(Addr addr)
+{
+    return eagerAccess(l1i_, addr);
 }
 
 AccessResult
@@ -47,130 +66,83 @@ MemHierarchy::dataFill(Addr addr)
     l2_.fill(addr);
 }
 
-AccessResult
-MemHierarchy::instAccess(Addr addr)
-{
-    if (l1i_.access(addr))
-        return {params_.l1i.hitLatency, HitLevel::kL1};
-    if (l2_.access(addr))
-        return {params_.l2.hitLatency, HitLevel::kL2};
-    return {params_.l2.hitLatency + params_.dramLatency, HitLevel::kMemory};
-}
-
 MemRequestResult
 MemHierarchy::dataRequest(Addr addr, Cycle now, InstSeqNum seq,
                           MshrTargetKind kind, unsigned tid)
 {
-    NDA_ASSERT(mshrEnabled(), "dataRequest needs mshrEntries > 0");
-    if (l1d_.probe(addr)) {
-        l1d_.access(addr);
-        return {MemReqStatus::kHit, params_.l1d.hitLatency,
-                HitLevel::kL1};
-    }
-
-    const Addr line = lineOf(addr);
-    const MshrTarget target{seq, kind, tid};
-
-    // Secondary miss: the line is already on its way to L1D.
-    if (MshrEntry *e = mshrD_.find(line)) {
-        if (!mshrD_.addTarget(*e, target))
-            return {MemReqStatus::kRejected, 0, HitLevel::kMemory};
-        l1d_.accessNoFill(addr);
-        const bool off = e->fillAt > now + params_.l2.hitLatency;
-        return {MemReqStatus::kMerged,
-                static_cast<unsigned>(e->fillAt - now),
-                off ? HitLevel::kMemory : HitLevel::kL2};
-    }
-
-    if (mshrD_.full()) {
-        mshrD_.noteFullStall();
-        return {MemReqStatus::kRejected, 0, HitLevel::kMemory};
-    }
-
-    // Primary miss filled from L2.
-    if (l2_.probe(addr)) {
-        l1d_.accessNoFill(addr);
-        l2_.access(addr);
-        const unsigned lat = params_.l2.hitLatency;
-        mshrD_.allocate(line, now + lat, target);
-        return {MemReqStatus::kMiss, lat, HitLevel::kL2};
-    }
-
-    // L2 miss: coalesce onto an in-flight DRAM request (possibly one
-    // the instruction side started) or start a new one.
-    if (MshrEntry *e2 = mshrL2_.find(line)) {
-        if (!mshrL2_.addTarget(*e2, target))
-            return {MemReqStatus::kRejected, 0, HitLevel::kMemory};
-        l1d_.accessNoFill(addr);
-        l2_.accessNoFill(addr);
-        mshrD_.allocate(line, e2->fillAt, target);
-        return {MemReqStatus::kMerged,
-                static_cast<unsigned>(e2->fillAt - now),
-                HitLevel::kMemory};
-    }
-    NDA_ASSERT(!mshrL2_.full(),
-               "L2 MSHR file full despite L1-backed sizing");
-    l1d_.accessNoFill(addr);
-    l2_.accessNoFill(addr);
-    const unsigned lat = params_.l2.hitLatency + params_.dramLatency;
-    mshrL2_.allocate(line, now + lat, target);
-    mshrD_.allocate(line, now + lat, target);
-    return {MemReqStatus::kMiss, lat, HitLevel::kMemory};
+    return request(l1d_, mshrD_, addr, now, MshrTarget{seq, kind, tid});
 }
 
 MemRequestResult
 MemHierarchy::instRequest(Addr addr, Cycle now)
 {
-    NDA_ASSERT(mshrEnabled(), "instRequest needs mshrEntries > 0");
-    if (l1i_.probe(addr)) {
-        l1i_.access(addr);
-        return {MemReqStatus::kHit, params_.l1i.hitLatency,
+    return request(l1i_, mshrI_, addr, now,
+                   MshrTarget{kInvalidSeqNum, MshrTargetKind::kFetch});
+}
+
+MemRequestResult
+MemHierarchy::request(Cache &l1, Mshr &file, Addr addr, Cycle now,
+                      const MshrTarget &target)
+{
+    if (!mshrEnabled()) {
+        const AccessResult res = eagerAccess(l1, addr);
+        return {res.level == HitLevel::kL1 ? MemReqStatus::kHit
+                                           : MemReqStatus::kFilled,
+                res.latency, res.level};
+    }
+
+    if (l1.probe(addr)) {
+        l1.access(addr);
+        return {MemReqStatus::kHit, l1.params().hitLatency,
                 HitLevel::kL1};
     }
 
     const Addr line = lineOf(addr);
-    const MshrTarget target{kInvalidSeqNum, MshrTargetKind::kFetch};
 
-    if (MshrEntry *e = mshrI_.find(line)) {
-        if (!mshrI_.addTarget(*e, target))
+    // Secondary miss: the line is already on its way to this L1.
+    if (MshrEntry *e = file.find(line)) {
+        if (!file.addTarget(*e, target))
             return {MemReqStatus::kRejected, 0, HitLevel::kMemory};
-        l1i_.accessNoFill(addr);
+        l1.accessNoFill(addr);
         const bool off = e->fillAt > now + params_.l2.hitLatency;
         return {MemReqStatus::kMerged,
                 static_cast<unsigned>(e->fillAt - now),
                 off ? HitLevel::kMemory : HitLevel::kL2};
     }
 
-    if (mshrI_.full()) {
-        mshrI_.noteFullStall();
+    if (file.full()) {
+        file.noteFullStall();
         return {MemReqStatus::kRejected, 0, HitLevel::kMemory};
     }
 
+    // Primary miss filled from L2.
     if (l2_.probe(addr)) {
-        l1i_.accessNoFill(addr);
+        l1.accessNoFill(addr);
         l2_.access(addr);
         const unsigned lat = params_.l2.hitLatency;
-        mshrI_.allocate(line, now + lat, target);
+        file.allocate(line, now + lat, target);
         return {MemReqStatus::kMiss, lat, HitLevel::kL2};
     }
 
+    // L2 miss: coalesce onto an in-flight DRAM request (possibly one
+    // the other L1 side started) or start a new one.
     if (MshrEntry *e2 = mshrL2_.find(line)) {
         if (!mshrL2_.addTarget(*e2, target))
             return {MemReqStatus::kRejected, 0, HitLevel::kMemory};
-        l1i_.accessNoFill(addr);
+        l1.accessNoFill(addr);
         l2_.accessNoFill(addr);
-        mshrI_.allocate(line, e2->fillAt, target);
+        file.allocate(line, e2->fillAt, target);
         return {MemReqStatus::kMerged,
                 static_cast<unsigned>(e2->fillAt - now),
                 HitLevel::kMemory};
     }
     NDA_ASSERT(!mshrL2_.full(),
                "L2 MSHR file full despite L1-backed sizing");
-    l1i_.accessNoFill(addr);
+    l1.accessNoFill(addr);
     l2_.accessNoFill(addr);
     const unsigned lat = params_.l2.hitLatency + params_.dramLatency;
     mshrL2_.allocate(line, now + lat, target);
-    mshrI_.allocate(line, now + lat, target);
+    file.allocate(line, now + lat, target);
     return {MemReqStatus::kMiss, lat, HitLevel::kMemory};
 }
 

@@ -4,16 +4,23 @@
  * split 32 KiB L1I/L1D (4-cycle round trip), unified 2 MiB L2
  * (40-cycle round trip), 50 ns DRAM (100 cycles at 2 GHz).
  *
- * Two timing modes:
- *  - mshrEntries == 0 (default): the legacy eager model — a miss
- *    charges its latency and fills tags immediately. This is the
- *    bit-exact behaviour every pre-MSHR golden, checkpoint, and
- *    fuzzer fingerprint was recorded against.
- *  - mshrEntries >= 1: non-blocking mode. Misses allocate MSHR
+ * One request API (`dataRequest`/`instRequest`, plus `advance` once
+ * per core cycle) with two service policies chosen by
+ * `HierarchyParams::mshrEntries`; the cores never branch on it:
+ *  - mshrEntries == 0 (default): the eager policy — a miss charges
+ *    its latency and fills tags immediately, occupies no MSHR and
+ *    never rejects (status kFilled). This is the bit-exact behaviour
+ *    every pre-MSHR golden, checkpoint, and fuzzer fingerprint was
+ *    recorded against.
+ *  - mshrEntries >= 1: the non-blocking policy. Misses allocate MSHR
  *    entries (mem/mshr.hh) and the tags fill only when `advance()`
  *    reaches the scheduled fill cycle; a full file rejects the
  *    request (the core retries). mshrEntries == 1 per L1 file is the
  *    canonical *blocking* configuration: one miss in flight.
+ *
+ * `dataAccess`/`instAccess` are the eager policy without a requester:
+ * functional cache warming and the reference the request API is
+ * tested against.
  */
 
 #ifndef NDASIM_MEM_HIERARCHY_HH
@@ -38,15 +45,16 @@ struct AccessResult {
     bool offChip() const { return level == HitLevel::kMemory; }
 };
 
-/** Outcome class of one non-blocking request. */
+/** Outcome class of one memory request. */
 enum class MemReqStatus : std::uint8_t {
     kHit = 0,   ///< serviced by L1; no MSHR involvement
     kMiss,      ///< primary miss: an MSHR entry was allocated
     kMerged,    ///< secondary miss: coalesced onto an in-flight fill
     kRejected,  ///< MSHR file (or target list) full; retry next cycle
+    kFilled,    ///< eager-policy miss: filled at once, no MSHR entry
 };
 
-/** Timing outcome of one non-blocking request. */
+/** Timing outcome of one memory request. */
 struct MemRequestResult {
     MemReqStatus status = MemReqStatus::kHit;
     unsigned latency = 0;       ///< cycles until the data is usable
@@ -54,6 +62,13 @@ struct MemRequestResult {
 
     bool rejected() const { return status == MemReqStatus::kRejected; }
     bool offChip() const { return level == HitLevel::kMemory; }
+    /** The request holds a (shared) MSHR entry until its fill. */
+    bool
+    occupiesMshr() const
+    {
+        return status == MemReqStatus::kMiss ||
+               status == MemReqStatus::kMerged;
+    }
 };
 
 /** Parameters of the full hierarchy. */
@@ -65,15 +80,13 @@ struct HierarchyParams {
     unsigned dramLatency = 100;
     /**
      * MSHR entries per L1 file; the L2 file gets the sum of both L1
-     * files so it can never reject a request an L1 accepted. 0 keeps
-     * the legacy eager-fill model (bit-exact with pre-MSHR builds);
-     * 1 models a blocking cache; >= 2 enables real MLP. A timing
-     * knob only: excluded from snapshot geometry compatibility and
-     * from the checkpoint serializer format.
+     * files so it can never reject a request an L1 accepted. 0 selects
+     * the eager policy (bit-exact with pre-MSHR builds); 1 models a
+     * blocking cache; >= 2 enables real MLP. A timing knob only:
+     * excluded from snapshot geometry compatibility and from the
+     * checkpoint serializer format.
      */
     unsigned mshrEntries = 0;
-    /** Secondary-miss targets each entry can coalesce. */
-    unsigned mshrTargets = 8;
 };
 
 /**
@@ -109,8 +122,9 @@ class MemHierarchy
      *  constructed cores; nothing can be waiting on a fill). */
     void restore(const Snapshot &snap);
 
-    /** Data access (load or store, write-allocate); mutates state.
-     *  Legacy eager path: misses fill immediately. */
+    /** Eager data access (load or store, write-allocate): misses fill
+     *  immediately whatever `mshrEntries` says. Functional warming
+     *  and test reference; timing accesses use dataRequest. */
     AccessResult dataAccess(Addr addr);
 
     /**
@@ -122,27 +136,30 @@ class MemHierarchy
     /** Fill the line containing addr into L1D and L2 (expose). */
     void dataFill(Addr addr);
 
-    /** Instruction fetch access; mutates L1I/L2 state (legacy path). */
+    /** Eager instruction fetch access; mutates L1I/L2 state. */
     AccessResult instAccess(Addr addr);
 
-    // --- non-blocking (MSHR) request interface ------------------------
+    // --- request interface (every timing access of the cores) ----------
     /**
-     * Data-side request in non-blocking mode. On a miss the fill is
-     * scheduled through the MSHR files instead of landing eagerly;
-     * kRejected means the file was full and *nothing* was mutated
-     * (retry next cycle). `now` is the core's current cycle; `seq`
-     * and `tid` identify the requester for squash-time target
-     * cancellation (squashes are per-hardware-thread under SMT).
+     * Data-side request, serviced by the configured policy. Eager
+     * (mshrEntries == 0): exactly dataAccess, reported as kHit or
+     * kFilled. Non-blocking: a miss is scheduled through the MSHR
+     * files instead of landing eagerly; kRejected means the file was
+     * full and *nothing* was mutated (retry next cycle). `now` is the
+     * core's current cycle; `seq` and `tid` identify the requester
+     * for squash-time target cancellation (squashes are
+     * per-hardware-thread under SMT).
      */
     MemRequestResult dataRequest(Addr addr, Cycle now, InstSeqNum seq,
                                  MshrTargetKind kind, unsigned tid = 0);
 
-    /** Instruction-side request in non-blocking mode. */
+    /** Instruction-side request; same policies as dataRequest. */
     MemRequestResult instRequest(Addr addr, Cycle now);
 
     /** Drain every fill due at or before `now` into the tag arrays
      *  (L2 first, then L1I, then L1D; (fillAt, alloc) order within a
-     *  file) and sample MSHR occupancy. Call once per core cycle. */
+     *  file) and sample MSHR occupancy. Call once per core cycle; a
+     *  no-op under the eager policy. */
     void advance(Cycle now);
 
     /** Squash recovery: drop thread `tid`'s load targets younger than
@@ -151,6 +168,7 @@ class MemHierarchy
      *  studies), and other threads' targets are untouched. */
     void squashLoadTargets(InstSeqNum keep_seq, unsigned tid = 0);
 
+    /** The non-blocking policy is in force (mshrEntries > 0). */
     bool mshrEnabled() const { return params_.mshrEntries > 0; }
     /** No fill in flight in any file. */
     bool
@@ -196,6 +214,12 @@ class MemHierarchy
                        const std::string &prefix) const;
 
   private:
+    /** The eager policy on one L1 side (L1 -> L2 -> DRAM). */
+    AccessResult eagerAccess(Cache &l1, Addr addr);
+    /** Both policies on one L1 side and its MSHR file. */
+    MemRequestResult request(Cache &l1, Mshr &file, Addr addr, Cycle now,
+                             const MshrTarget &target);
+
     Addr lineOf(Addr addr) const { return addr / params_.l1d.lineBytes; }
     Addr
     lineToAddr(Addr line) const

@@ -58,7 +58,7 @@ struct MshrEntry {
 
 /**
  * The MSHR file of a single cache level. Entry count 0 disables the
- * file entirely (the hierarchy then uses the legacy eager-fill path).
+ * file entirely (the hierarchy then serves requests eagerly).
  */
 class Mshr
 {

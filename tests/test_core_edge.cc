@@ -103,10 +103,9 @@ TEST(CoreEdge, FenceStorm)
     b.addi(18, 18, 1);
     b.blt(18, 19, loop);
     b.halt();
-    for (Profile p : {Profile::kOoo, Profile::kFullProtection}) {
-        expectMatchesInterpreter(b.build(), makeProfile(p),
-                                 "fence storm");
-    }
+    const Program prog = b.build();
+    for (Profile p : {Profile::kOoo, Profile::kFullProtection})
+        expectMatchesInterpreter(prog, makeProfile(p), "fence storm");
 }
 
 TEST(CoreEdge, UnalignedCrossPageTraffic)
@@ -126,10 +125,10 @@ TEST(CoreEdge, UnalignedCrossPageTraffic)
     b.addi(18, 18, 1);
     b.blt(18, 19, loop);
     b.halt();
-    expectMatchesInterpreter(b.build(), makeProfile(Profile::kOoo),
+    const Program prog = b.build();
+    expectMatchesInterpreter(prog, makeProfile(Profile::kOoo),
                              "cross page");
-    expectMatchesInterpreter(b.build(),
-                             makeProfile(Profile::kStrictBr),
+    expectMatchesInterpreter(prog, makeProfile(Profile::kStrictBr),
                              "cross page");
 }
 
@@ -197,11 +196,10 @@ TEST(CoreEdge, DenseIndirectCallMix)
     b.addi(18, 18, 1);
     b.blt(18, 19, loop);
     b.halt();
+    const Program prog = b.build();
     for (Profile p :
-         {Profile::kOoo, Profile::kPermissive, Profile::kInOrder}) {
-        expectMatchesInterpreter(b.build(), makeProfile(p),
-                                 "indirect mix");
-    }
+         {Profile::kOoo, Profile::kPermissive, Profile::kInOrder})
+        expectMatchesInterpreter(prog, makeProfile(p), "indirect mix");
 }
 
 TEST(CoreEdge, BackToBackFaults)

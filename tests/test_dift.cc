@@ -263,5 +263,35 @@ TEST(DiftOracle, FullProtectionBlocksEverything)
     }
 }
 
+/** smt-mshr with the eager memory policy: misses fill at once and
+ *  hold no MSHR entry, so there is no shared occupancy to time. */
+class EagerMshrContention : public MshrContention
+{
+  public:
+    void
+    adjustConfig(SimConfig &cfg) const override
+    {
+        MshrContention::adjustConfig(cfg);
+        cfg.memory.mshrEntries = 0;
+    }
+};
+
+TEST(DiftOracle, MshrContentionNeedsAnMshrEntry)
+{
+    // The secret-indexed wrong-path misses of smt-mshr occupy entries
+    // of the shared 4-entry file: the oracle records the channel...
+    const SimConfig cfg = makeProfile(Profile::kOoo);
+    const auto with_mshrs = MshrContention().run(cfg, 42);
+    EXPECT_GE(with_mshrs.oracle.countFor(LeakChannel::kMshrContention),
+              1u);
+
+    // ...while the same misses under the eager policy occupy nothing,
+    // so only the d-cache fill remains.
+    const auto eager = EagerMshrContention().run(cfg, 42);
+    EXPECT_EQ(eager.oracle.countFor(LeakChannel::kMshrContention), 0u)
+        << "an eager fill holds no MSHR entry";
+    EXPECT_GE(eager.oracle.countFor(LeakChannel::kDCache), 1u);
+}
+
 } // namespace
 } // namespace nda

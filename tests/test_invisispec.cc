@@ -78,11 +78,12 @@ TEST(InvisiSpec, CorrectPathLoadEventuallyExposed)
     b.load(5, 4, 0, 8);              // correct-path shadow load
     b.bind(go);
     b.halt();
+    const Program prog = b.build();
     for (auto mode :
          {InvisiSpecMode::kSpectre, InvisiSpecMode::kFuture}) {
         SimConfig cfg;
         cfg.security.invisiSpec = mode;
-        OooCore core(b.build(), cfg);
+        OooCore core(prog, cfg);
         core.run(~std::uint64_t{0}, 100000);
         ASSERT_TRUE(core.halted());
         EXPECT_EQ(core.archReg(5), 5u);

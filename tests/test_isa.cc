@@ -159,6 +159,18 @@ TEST(ProgramBuilder, FaultHandlerResolved)
     EXPECT_EQ(p.faultHandler, 1u);
 }
 
+TEST(ProgramBuilder, SecondBuildIsFatal)
+{
+    // build() moves the program (and its data image) out, so a second
+    // call has nothing left to return.
+    ProgramBuilder b("once");
+    b.word(0x1000, 7);
+    b.halt();
+    const Program p = b.build();
+    EXPECT_EQ(p.data.size(), 1u);
+    EXPECT_DEATH(b.build(), "already built");
+}
+
 TEST(EvalAlu, ArithmeticSemantics)
 {
     EXPECT_EQ(evalAlu(Opcode::kAdd, 2, 3, 0), 5u);

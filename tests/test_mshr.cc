@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <random>
+
 #include "core/inorder_core.hh"
 #include "core/ooo_core.hh"
 #include "isa/interpreter.hh"
@@ -27,11 +30,10 @@ constexpr unsigned kDramLat = 100;
 constexpr unsigned kMissLat = kL2Lat + kDramLat;
 
 HierarchyParams
-mshrParams(unsigned entries, unsigned targets = 8)
+mshrParams(unsigned entries)
 {
     HierarchyParams p;
     p.mshrEntries = entries;
-    p.mshrTargets = targets;
     return p;
 }
 
@@ -219,6 +221,72 @@ TEST(MshrHierarchy, MidMissSaveConvergesAndRoundTrips)
     MemHierarchy fresh(mshrParams(4));
     fresh.restore(snap);
     EXPECT_EQ(fresh.save(), snap);
+}
+
+TEST(MshrHierarchy, EagerPolicyMatchesEagerAccess)
+{
+    // mshrEntries = 0: the request API must be exactly the eager
+    // access it replaced in the cores — same latency and level, same
+    // tags, LRU and stats — and must never reject or claim an entry.
+    MemHierarchy req(mshrParams(0));
+    MemHierarchy ref(mshrParams(0));
+    std::mt19937_64 rng(20190622);
+    // 2048 lines (128 KiB) thrash the L1s but fit the L2, so repeats
+    // hit at every level; a few far lines keep DRAM misses coming.
+    const auto pick_addr = [&rng]() -> Addr {
+        const Addr line = rng() % 16 == 0 ? 0x100000 + rng() % 65536
+                                          : rng() % 2048;
+        return line * kLineSize + rng() % kLineSize;
+    };
+    std::array<unsigned, 3> levels{};
+    for (Cycle now = 1; now <= 20000; ++now) {
+        req.advance(now);
+        const Addr addr = pick_addr();
+        const unsigned op = static_cast<unsigned>(rng() % 16);
+        if (op == 0) {
+            req.flushLine(addr);
+            ref.flushLine(addr);
+            continue;
+        }
+        MemRequestResult got;
+        AccessResult want;
+        if (op < 5) {
+            got = req.instRequest(addr, now);
+            want = ref.instAccess(addr);
+        } else {
+            const auto kind = static_cast<MshrTargetKind>(op % 3);
+            got = req.dataRequest(addr, now, now, kind, op % 2);
+            want = ref.dataAccess(addr);
+        }
+        ASSERT_EQ(got.latency, want.latency) << "request " << now;
+        ASSERT_EQ(got.level, want.level) << "request " << now;
+        ASSERT_EQ(got.status, want.level == HitLevel::kL1
+                                  ? MemReqStatus::kHit
+                                  : MemReqStatus::kFilled)
+            << "request " << now;
+        ASSERT_FALSE(got.occupiesMshr());
+        ++levels[static_cast<unsigned>(got.level)];
+    }
+    for (unsigned n : levels)
+        EXPECT_GT(n, 0u) << "the stream must reach every level";
+
+    EXPECT_EQ(req.save(), ref.save());
+    const Cache *pairs[][2] = {{&req.l1i(), &ref.l1i()},
+                               {&req.l1d(), &ref.l1d()},
+                               {&req.l2(), &ref.l2()}};
+    for (const auto &pair : pairs) {
+        EXPECT_EQ(pair[0]->hits(), pair[1]->hits())
+            << pair[0]->params().name;
+        EXPECT_EQ(pair[0]->misses(), pair[1]->misses())
+            << pair[0]->params().name;
+        EXPECT_EQ(pair[0]->fills(), pair[1]->fills())
+            << pair[0]->params().name;
+    }
+    for (const Mshr *file :
+         {&req.mshrInst(), &req.mshrData(), &req.mshrL2()}) {
+        EXPECT_TRUE(file->empty()) << file->name();
+        EXPECT_EQ(file->fullStalls(), 0u) << file->name();
+    }
 }
 
 // --- end-to-end timing on the cores ------------------------------------
