@@ -109,9 +109,9 @@ struct BenchObs {
 
 /**
  * Checkpoint-corpus knobs shared by the grid-driving bench binaries
- * (fig07_cpi, table02_overheads, sim_throughput, grid_server): where
- * the on-disk corpus lives, its LRU size cap, and an off switch that
- * wins over --ckpt-dir so scripts can layer flags.
+ * (fig07_cpi, table02_overheads, grid_server): where the on-disk
+ * corpus lives, its LRU size cap, and an off switch that wins over
+ * --ckpt-dir so scripts can layer flags.
  */
 struct BenchCkpt {
     std::string dir;             ///< --ckpt-dir= (empty: no corpus)
@@ -381,7 +381,6 @@ emitBenchObs(BenchObs &obs, const char *bench, Profile profile,
         m.set("warmup_insts", sp.warmupInsts);
         m.set("measure_insts", sp.measureInsts);
         m.set("jobs", static_cast<std::uint64_t>(sp.jobs));
-        m.set("reuse_checkpoints", sp.reuseCheckpoints);
         // Latency-distribution summaries of the instrumented window
         // (Fig 9d's dispatch-to-issue plus the two NDA residency
         // histograms) — the full distributions live under "stats".

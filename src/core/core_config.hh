@@ -74,23 +74,11 @@ struct CoreParams {
     PredictorParams predictor;
 };
 
-/** In-order (TimingSimpleCPU-like) core parameters. */
-struct InOrderParams {
-    /**
-     * When true, charge an i-cache access only on line crossings
-     * (a kinder fetch-buffer model). The default (false) matches
-     * gem5's TimingSimpleCPU — the paper's in-order baseline — which
-     * performs a timed i-cache access for every instruction.
-     */
-    bool lineBuffer = false;
-};
-
 /** A complete simulated-machine configuration. */
 struct SimConfig {
     std::string name = "ooo";
     bool inOrder = false;
     CoreParams core;
-    InOrderParams inOrderParams;
     HierarchyParams memory;
     SecurityConfig security;
     /**

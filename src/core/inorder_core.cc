@@ -166,15 +166,14 @@ InOrderCore::step()
     // --- fetch cost -------------------------------------------------------
     Cycle cost = 0; // the commit cycle itself is charged by tick()
     stallClass_ = CycleClass::kFrontendStall;
+    // Like gem5's TimingSimpleCPU, every instruction pays a timed
+    // i-cache access.
     const Addr fetch_addr = pcToFetchAddr(pc_);
-    const Addr line = fetch_addr / kLineSize;
-    if (!cfg_.inOrderParams.lineBuffer || line != lastFetchLine_) {
-        const MemRequestResult res = hier_.instRequest(fetch_addr, cycle_);
-        NDA_ASSERT(!res.rejected(),
-                   "blocking core overflowed the I-side MSHR file");
-        cost += res.latency - 1;
-        lastFetchLine_ = line;
-    }
+    const MemRequestResult res = hier_.instRequest(fetch_addr, cycle_);
+    NDA_ASSERT(!res.rejected(),
+               "blocking core overflowed the I-side MSHR file");
+    cost += res.latency - 1;
+    lastFetchLine_ = fetch_addr / kLineSize;
 
     ++committed_;
     ++counters_.committedInsts;

@@ -83,6 +83,9 @@ class InOrderCore : public CoreBase
     Cycle busyUntil_ = 0;
     CycleClass stallClass_ = CycleClass::kCommit;
     std::uint64_t committed_ = 0;
+    /** Last fetched i-cache line. Not a timing input here; carried in
+     *  the snapshot (ArchState::lastFetchLine), whose interpreter
+     *  and OoO consumers do use it. */
     Addr lastFetchLine_ = ~Addr{0};
     TaintEngine *dift_ = nullptr;
     CpiStackProfiler *cpiStack_ = nullptr; ///< usually absent

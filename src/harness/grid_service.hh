@@ -91,7 +91,6 @@ struct GridServiceStats {
  *    "warmup": 20000, "measure": 100000, "samples": 3,
  *    "seed": 1, "jobs": 0,        // jobs 0 = hardware threads
  *    "chain": false,              // chained sampling (stride mode)
- *    "reuse": true,               // share checkpoints across profiles
  *    "cpi_stack": false}          // attach the causal CPI-stack
  *                                 // profiler to every window
  *

@@ -21,8 +21,6 @@ parseGridArg(const std::string &arg, GridSpec &spec, unsigned cli_flags,
                set("warmup", std::uint64_t{10'000}) &&
                set("measure", std::uint64_t{30'000});
     }
-    if (arg == "--no-reuse")
-        return set("reuse", false);
     if (arg == "--chain")
         return set("chain", true);
     if (arg == "--cpi-stack")
@@ -89,9 +87,6 @@ gridUsage(unsigned cli_flags)
         "                 functional fast-forward (with cache/predictor "
         "warming)\n"
         "                 before each window (default: 0)\n"
-        "  --no-reuse     rebuild the fast-forward checkpoint for every "
-        "window\n"
-        "                 instead of sharing one per (workload, sample)\n"
         "  --chain        chained sampling: --fastforward becomes a "
         "stride and\n"
         "                 sample s measures offset (s+1) x stride of ONE "
@@ -163,8 +158,6 @@ GridSpec::setField(const std::string &key, const FieldValue &value)
             p.jobs = ThreadPool::defaultConcurrency();
         return error;
     }
-    if (key == "reuse")
-        return boolean(p.reuseCheckpoints);
     if (key == "chain")
         return boolean(p.chainSamples);
     if (key == "cpi_stack")

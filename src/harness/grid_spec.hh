@@ -50,7 +50,7 @@ struct GridSpec {
 
     /** The field table: set SampleParams key `key` — fastforward,
      *  warmup, measure, samples, seed, jobs (0 = hardware threads),
-     *  reuse, chain or cpi_stack. "" on success, else an error naming
+     *  chain or cpi_stack. "" on success, else an error naming
      *  the key: unknown, wrong type, or a number its field cannot
      *  hold. */
     std::string setField(const std::string &key, const FieldValue &value);

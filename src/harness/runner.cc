@@ -78,8 +78,9 @@ GridStats::registerStats(StatsRegistry &reg,
     g.counter("ff_insts", &ffInsts,
               "functional fast-forward instructions executed");
     g.counter("ff_runs", &ffRuns,
-              "fast-forwards executed (W*S with reuse, up to W*S*P "
-              "without)");
+              "fast-forwards executed (one per shared (workload, "
+              "sample) checkpoint, plus one per window whose geometry "
+              "cannot restore it)");
     g.counter("checkpoint_restores", &checkpointRestores,
               "warming checkpoints restored into cores");
     g.counter("detailed_warmup_insts", &detailedWarmupInsts,
@@ -133,10 +134,10 @@ runWindow(const Program &prog, const SimConfig &cfg, const SampleParams &p,
         if (ckpt != nullptr && ckpt->structurallyCompatible(cfg)) {
             core->restoreCheckpoint(*ckpt);
         } else {
-            // No shared checkpoint (legacy path) or its warming state
-            // does not fit this config's geometry: fast-forward for
-            // this window alone. Same deterministic procedure either
-            // way, so results never depend on which path ran.
+            // No shared checkpoint (a direct call) or its warming
+            // state does not fit this config's geometry: fast-forward
+            // for this window alone. Same deterministic procedure
+            // either way, so results never depend on which path ran.
             WarmingWork warm;
             const SimSnapshot own = buildWarmCheckpoint(
                 prog, cfg.memory, cfg.core.predictor,
@@ -389,9 +390,11 @@ runGrid(const std::vector<const Workload *> &workloads,
     // checkpoint s-1. A corpus, when given, replaces builds with
     // loads wherever it already holds the (workload, seed, ff,
     // geometry) entry. A checkpoint is released once its windows
-    // (and, chained, the next link) are done with it.
-    const bool share = p.reuseCheckpoints && p.fastforwardInsts > 0 &&
-                       !configs.empty() && !workloads.empty();
+    // (and, chained, the next link) are done with it. A grid without
+    // a fast-forward has no checkpoints: its windows start at the
+    // program entry.
+    const bool share = p.fastforwardInsts > 0 && !configs.empty() &&
+                       !workloads.empty();
     const std::size_t n_ckpts = workloads.size() * p.samples;
     std::vector<Shared<SimSnapshot>> checkpoints(share ? n_ckpts : 0);
     for (std::size_t i = 0; i < checkpoints.size(); ++i) {
@@ -447,12 +450,13 @@ runGrid(const std::vector<const Workload *> &workloads,
 
     // One pool runs the (workload, sample) groups sample-major, so
     // the chains of all workloads advance together: each group is its
-    // checkpoint task, then its P windows. The checkpoint task of a
-    // group starts `ahead` groups early, so with L lanes L
-    // fast-forwards run side by side while the grid still holds only
-    // the programs and checkpoints of the groups in flight. With one
-    // lane: one checkpoint, then its windows. A window whose
-    // checkpoint is still being built waits for it.
+    // checkpoint task (if the grid has checkpoints), then its P
+    // windows. The checkpoint task of a group starts `ahead` groups
+    // early, so with L lanes L fast-forwards run side by side while
+    // the grid still holds only the programs and checkpoints of the
+    // groups in flight. With one lane: one checkpoint, then its
+    // windows. A window whose checkpoint is still being built waits
+    // for it.
     const std::size_t lanes = ThreadPool::lanesFor(p.jobs, total);
     const std::size_t ahead = share ? lanes - 1 : 0;
     const std::size_t n_groups = workloads.size() * p.samples;
@@ -482,9 +486,9 @@ runGrid(const std::vector<const Workload *> &workloads,
         const SimSnapshot *ckpt =
             share ? &checkpoint(checkpoint, ckpt_of(g)) : nullptr;
         const auto t0 = std::chrono::steady_clock::now();
-        // The fallback path inside runWindow (no shared checkpoint, or
-        // incompatible geometry) must place this window at its own
-        // offset, so hand it the per-sample fast-forward.
+        // A config whose geometry cannot restore the shared checkpoint
+        // fast-forwards inside runWindow, which must place the window
+        // at its own offset: hand it the per-sample fast-forward.
         SampleParams q = p;
         q.fastforwardInsts = window_ff(sample);
         const std::size_t out = (w * n_configs + c) * p.samples + sample;

@@ -15,16 +15,15 @@
  *
  * Fast-forwarding is where a profile sweep burns almost all of its
  * functional work, and the functional prefix of a sample does not
- * depend on the profile being measured. With checkpoint reuse
- * (SampleParams::reuseCheckpoints, the default) the grid therefore
+ * depend on the profile being measured. The grid therefore
  * fast-forwards each (workload, sample) ONCE, snapshots the machine
  * (core/snapshot.hh), and restores that snapshot into every profile's
  * core — turning W×S×P functional prefixes into W×S. Profiles whose
- * cache/predictor geometry differs from the snapshot's fall back to a
- * per-window fast-forward, which is also exactly what
- * reuseCheckpoints = false does for every window; both paths build
- * checkpoints with the same deterministic procedure, so reuse on/off
- * is bit-identical by construction.
+ * cache/predictor geometry differs from the snapshot's fall back to
+ * runWindow's own per-window fast-forward, the same path a direct
+ * runWindow call without a checkpoint takes; both build checkpoints
+ * with the same deterministic procedure, so a shared checkpoint and
+ * a per-window one give bit-identical windows by construction.
  *
  * Two orthogonal extensions cut the fast-forward bill further.
  * SampleParams::chainSamples places the S samples at offsets s x
@@ -73,12 +72,6 @@ struct SampleParams {
     std::uint64_t baseSeed = 1;
     /** Concurrent simulation windows; 1 = fully serial (no pool). */
     unsigned jobs = 1;
-    /**
-     * Share one fast-forward checkpoint per (workload, sample) across
-     * all profiles of a grid. Off = rebuild per window (the legacy
-     * path; bit-identical results, more functional work).
-     */
-    bool reuseCheckpoints = true;
     /**
      * SMARTS-proper chained sampling: instead of S independently-
      * seeded programs each fast-forwarded `fastforwardInsts`, run ONE
@@ -233,8 +226,8 @@ RunResult runSampled(const Workload &workload, const SimConfig &cfg,
 
 /**
  * Sweep a full workload x config grid. Each (workload, sample) is one
- * group of tasks: its checkpoint (shared across profiles when
- * p.reuseCheckpoints), then one window per config. Each distinct
+ * group of tasks: its checkpoint (shared across profiles; none when
+ * p.fastforwardInsts is 0), then one window per config. Each distinct
  * (workload, seed) program is built once, by the first task that
  * needs it. Programs and checkpoints are dropped once their last
  * window is done, so the grid holds only what the groups in flight
@@ -259,9 +252,9 @@ RunResult runSampled(const Workload &workload, const SimConfig &cfg,
  * every later run sharing the directory. Results are bit-identical
  * with or without a corpus, warm or cold: deserialization is exact
  * (`SimSnapshot::operator==`), so a loaded checkpoint is
- * indistinguishable from a rebuilt one. The corpus only participates
- * when reuseCheckpoints is on (the legacy per-window path never
- * touches it).
+ * indistinguishable from a rebuilt one. The corpus holds shared
+ * checkpoints only: a window whose geometry needs its own
+ * fast-forward never touches it.
  */
 std::vector<RunResult>
 runGrid(const std::vector<const Workload *> &workloads,

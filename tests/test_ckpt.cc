@@ -30,6 +30,8 @@
 #include "isa/interpreter.hh"
 #include "workloads/workload.hh"
 
+#include "grid_reference.hh"
+
 namespace nda {
 namespace {
 
@@ -717,14 +719,10 @@ TEST(ChainedGrid, SharedChainsEqualPerWindowRebuildsWithLessWork)
         makeProfile(Profile::kInOrder)};
 
     const SampleParams shared = chainedParams();
-    SampleParams rebuild = chainedParams();
-    rebuild.reuseCheckpoints = false;
-
     GridStats shared_stats, rebuild_stats;
     const auto a =
         runGrid(ws, configs, shared, nullptr, &shared_stats);
-    const auto b =
-        runGrid(ws, configs, rebuild, nullptr, &rebuild_stats);
+    const auto b = perWindowGrid(ws, configs, shared, &rebuild_stats);
     expectIdentical(a, b);
 
     // One chain per workload: W*S builds whose *total* functional
@@ -733,7 +731,7 @@ TEST(ChainedGrid, SharedChainsEqualPerWindowRebuildsWithLessWork)
     EXPECT_EQ(shared_stats.ffInsts,
               ws.size() * shared.samples * shared.fastforwardInsts);
     EXPECT_EQ(shared_stats.ckptChainLen, shared.samples);
-    // Rebuild mode fast-forwards 1+2+3 strides per workload per
+    // Per-window runs fast-forward 1+2+3 strides per workload per
     // config cell.
     EXPECT_GT(rebuild_stats.ffInsts, shared_stats.ffInsts);
 

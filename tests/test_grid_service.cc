@@ -170,6 +170,7 @@ TEST(GridService, RejectsBadRequestsWithErrorLinesAndSurvives)
         {R"({"chain":1})", "boolean"},
         {R"({"smaples":9})", "unknown field 'smaples'"},
         {R"({"mshr":4})", "unknown field 'mshr'"},
+        {R"({"reuse":false})", "unknown field 'reuse'"},
         {R"({"samples":1.9})", "samples"},
         {R"({"samples":4294967297})", "samples"},
         {R"({"measure":1e30})", "measure"},
@@ -254,6 +255,7 @@ TEST(GridSpec, CliRejectsValuesThatDoNotFitTheirField)
         {{"--insts=0"}, "measure"},
         {{"--chain"}, "stride"},
         {{"--chain=1"}, "unrecognized"},
+        {{"--no-reuse"}, "unrecognized"},
         {{"--smt-policy=fifo"}, "fifo"},
     };
     for (const auto &c : cases) {

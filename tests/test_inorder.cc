@@ -57,18 +57,6 @@ TEST(InOrderCore, CpiAtLeastFetchBound)
     EXPECT_GE(core.counters().cpi(), 3.0);
 }
 
-TEST(InOrderCore, LineBufferModeIsFaster)
-{
-    const Program p = sumLoop(2000);
-    SimConfig slow, fast;
-    slow.inOrder = fast.inOrder = true;
-    fast.inOrderParams.lineBuffer = true;
-    InOrderCore a(p, slow), c(p, fast);
-    a.run(~std::uint64_t{0}, 10'000'000);
-    c.run(~std::uint64_t{0}, 10'000'000);
-    EXPECT_LT(c.cycle(), a.cycle());
-}
-
 TEST(InOrderCore, AlwaysSlowerThanOoo)
 {
     const Program p = sumLoop(2000);

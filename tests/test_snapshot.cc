@@ -5,9 +5,10 @@
  * from a mid-run snapshot must be bit-identical to the uninterrupted
  * run, for the architectural state, the DIFT taint travelling with
  * it, and the structural warming state (cache tags, predictor
- * tables). On top of that, the grid harness's checkpoint-reuse path
- * must produce results exactly equal to the legacy rebuild-per-window
- * path while doing measurably less functional work.
+ * tables). On top of that, the grid harness's shared checkpoints
+ * must produce results exactly equal to running every window on its
+ * own (tests/grid_reference.hh) while doing measurably less
+ * functional work.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,8 @@
 #include "isa/interpreter.hh"
 #include "mem/hierarchy.hh"
 #include "workloads/workload.hh"
+
+#include "grid_reference.hh"
 
 namespace nda {
 namespace {
@@ -191,7 +194,7 @@ TEST(ArchStateSnapshot, StructuralCompatibilityGatesGeometryOnly)
 }
 
 // --------------------------------------------------------------------------
-// Grid harness: checkpoint reuse == legacy, with less functional work
+// Grid harness: shared checkpoints == per-window runs, with less work
 // --------------------------------------------------------------------------
 
 void
@@ -230,7 +233,7 @@ TEST(CheckpointReuse, GridEqualsLegacyAndDoesLessWork)
 
     // Include a config whose cache geometry differs from the shared
     // checkpoint's: it must fall back to a per-window fast-forward
-    // and still be bit-identical between the two modes.
+    // and still be bit-identical to the reference.
     SimConfig small = makeProfile(Profile::kOoo);
     small.name = "small-l1d";
     small.memory.l1d.sizeBytes = 16 * 1024;
@@ -240,12 +243,9 @@ TEST(CheckpointReuse, GridEqualsLegacyAndDoesLessWork)
         makeProfile(Profile::kInOrder), small};
 
     const SampleParams reuse = gridParams();
-    SampleParams legacy = gridParams();
-    legacy.reuseCheckpoints = false;
-
-    GridStats reuse_stats, legacy_stats;
+    GridStats reuse_stats, ref_stats;
     const auto a = runGrid(ws, configs, reuse, nullptr, &reuse_stats);
-    const auto b = runGrid(ws, configs, legacy, nullptr, &legacy_stats);
+    const auto b = perWindowGrid(ws, configs, reuse, &ref_stats);
 
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
@@ -254,16 +254,16 @@ TEST(CheckpointReuse, GridEqualsLegacyAndDoesLessWork)
     const std::uint64_t w_s = ws.size() * reuse.samples;       // 4
     const std::uint64_t windows = w_s * configs.size();        // 16
     EXPECT_EQ(reuse_stats.windows, windows);
-    EXPECT_EQ(legacy_stats.windows, windows);
+    EXPECT_EQ(ref_stats.windows, windows);
     EXPECT_EQ(reuse_stats.checkpointRestores, windows);
-    EXPECT_EQ(legacy_stats.checkpointRestores, windows);
+    EXPECT_EQ(ref_stats.checkpointRestores, windows);
 
-    // Reuse: one shared fast-forward per (workload, sample), plus a
-    // per-window fallback for the one incompatible config. Legacy:
+    // Grid: one shared fast-forward per (workload, sample), plus a
+    // per-window fallback for the one incompatible config. Reference:
     // one per window.
     EXPECT_EQ(reuse_stats.ffRuns, w_s + w_s);
-    EXPECT_EQ(legacy_stats.ffRuns, windows);
-    EXPECT_LT(reuse_stats.ffInsts, legacy_stats.ffInsts);
+    EXPECT_EQ(ref_stats.ffRuns, windows);
+    EXPECT_LT(reuse_stats.ffInsts, ref_stats.ffInsts);
     EXPECT_EQ(reuse_stats.measuredInsts,
               windows * reuse.measureInsts);
 }
@@ -351,9 +351,9 @@ TEST(MshrSnapshot, InOrderMidStallSaveRoundTripsBitExact)
 
 TEST(MshrCheckpointReuse, GridWithMshrEqualsLegacy)
 {
-    // The PR-7 reuse machinery must be oblivious to the MSHR knob:
-    // reuse and rebuild-per-window grids stay bit-identical with
-    // non-blocking caches on.
+    // Checkpoint sharing must be oblivious to the MSHR knob: the grid
+    // stays bit-identical to per-window runs with non-blocking caches
+    // on.
     std::vector<std::unique_ptr<Workload>> ws;
     ws.push_back(makeWorkload("crc"));
     ws.push_back(makeWorkload("stream"));
@@ -362,12 +362,8 @@ TEST(MshrCheckpointReuse, GridWithMshrEqualsLegacy)
     for (SimConfig &cfg : configs)
         cfg.memory.mshrEntries = 4;
 
-    const SampleParams reuse = gridParams();
-    SampleParams legacy = gridParams();
-    legacy.reuseCheckpoints = false;
-
-    const auto a = runGrid(ws, configs, reuse);
-    const auto b = runGrid(ws, configs, legacy);
+    const auto a = runGrid(ws, configs, gridParams());
+    const auto b = perWindowGrid(ws, configs, gridParams());
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         expectIdentical(a[i], b[i]);
